@@ -154,12 +154,10 @@ def _cmd_view_demo(args) -> int:
         ("A[2, :, :]", [2, COLON, COLON]),
         ("A[2:3, 1:5, 1]", [Range(2, 3), Range(1, 5), 1]),
     ):
-        v = view(a, indices)
+        v = view(a, indices, rule=args.index_rule)
         full = [Range(1, e) if i is COLON else i
                 for i, e in zip(indices, a.shape)]
-        # views keep non-trailing scalar dimensions, so the copying
-        # comparison pins the matching trailing-drop rule
-        copied = getindex(a, full, rule="trailing-drop")
+        copied = getindex(a, full, rule=args.index_rule)
         rows.append({
             "view": label,
             "kind": v.kind.name.title(),

@@ -3,8 +3,10 @@
 A generic function owns an ordered list of methods. Calling one selects
 the applicable method whose signature, read as a tuple type, is most
 specific for the concrete argument types, then runs its body. Selection
-is memoized per concrete argument-type tuple; any (re)definition clears
-the memo, so a warm cache is observationally identical to a cold one.
+is memoized per concrete argument-type tuple in one place,
+`GenericFunction.method_for`, which `select`, `dispatch_call` and the
+evaluator all go through; any (re)definition clears the memo, so a warm
+cache is observationally identical to a cold one.
 
 Specificity uses the signature order from the lattice module (see the
 note there): it extends strict semantic subtyping so that variadic
@@ -179,14 +181,18 @@ class GenericFunction:
     def applicable(self, arg_types: TypeExpr) -> list[Method]:
         return [m for m in self.methods if subtype(arg_types, m.sig_tuple, self.types)]
 
+    def method_for(self, key: tuple) -> Method:
+        """The method for a tuple of concrete argument types, memoized per key."""
+        if not self.cache_enabled:
+            return self._select_uncached(make_tuple(key))
+        m = self._cache.get(key)
+        if m is None:
+            m = self._cache[key] = self._select_uncached(make_tuple(key))
+        return m
+
     def select(self, arg_types: TupleType) -> Method:
-        if self.cache_enabled and arg_types.tail is None:
-            hit = self._cache.get(arg_types.fixed)
-            if hit is not None:
-                return hit
-            m = self._select_uncached(arg_types)
-            self._cache[arg_types.fixed] = m
-            return m
+        if arg_types.tail is None:
+            return self.method_for(arg_types.fixed)
         return self._select_uncached(arg_types)
 
     def _select_uncached(self, arg_types: TupleType) -> Method:
@@ -216,15 +222,7 @@ class GenericFunction:
 
 
 def dispatch_call(gf: GenericFunction, args) -> Any:
-    key = tuple(type_of(a) for a in args)
-    if gf.cache_enabled:
-        m = gf._cache.get(key)
-        if m is None:
-            m = gf._select_uncached(make_tuple(key))
-            gf._cache[key] = m
-    else:
-        m = gf._select_uncached(make_tuple(key))
-    return m.fn(*args)
+    return gf.method_for(tuple(type_of(a) for a in args)).fn(*args)
 
 
 class FunctionTable:

@@ -4,17 +4,18 @@ The shape of an indexing result is not computed by host code: getindex
 hands the index values to the `index_shape` generic function of the
 active rule set and uses whatever shape those minilang methods produce.
 Swapping rule sets swaps a handful of method definitions and nothing
-else, which is the point of the design.
+else, which is the point of the design. Views ask the same
+`index_shape` for their shape, and getindex copies elements with
+`ndarray.gather`, the one copy loop that `views.to_array` also uses.
 
 Each rule set gets one lazily built Runtime, shared by all callers.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .ndarray import BoundsError, IndexArg, NdArray, Range, RankMismatchError, Shape
+from .ndarray import BoundsError, IndexArg, NdArray, Range, RankMismatchError, Shape, gather
 from .preludes import RULE_NAMES, UnknownRuleError, prelude_source
 from .runtime import Runtime
 
@@ -83,20 +84,12 @@ def getindex(a: NdArray, indices, rule="trailing-drop") -> NdArray:
     indices = list(indices)
     if len(indices) != a.rank:
         raise RankMismatchError(a.rank, len(indices))
-    pools = []
-    for dim, idx in enumerate(indices, start=1):
-        extent = a.shape[dim - 1]
+    steps = []
+    for dim, (idx, extent, stride) in enumerate(zip(indices, a.shape, a.strides()), start=1):
         elems = _elements(idx, dim)
         for e in elems:
             if not 1 <= e <= extent:
                 raise BoundsError(dim, e, extent)
-        pools.append(elems)
+        steps.append([(e - 1) * stride for e in elems])
     shape = index_shape(rule, indices)
-    strides = a.strides()
-    values = []
-    for rev in itertools.product(*reversed(pools)):
-        flat = 0
-        for k in range(len(rev)):
-            flat += (rev[len(rev) - 1 - k] - 1) * strides[k]
-        values.append(a.buffer[flat])
-    return NdArray(tuple(shape), values)
+    return NdArray(tuple(shape), gather(a.buffer, 0, steps))

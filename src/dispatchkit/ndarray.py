@@ -8,6 +8,8 @@ Extent-0 dimensions are allowed and make the buffer empty.
 Range and Shape live here too: ranges are the closed integer intervals
 used as indexes, and Shape is the integer-sequence value that indexing
 returns. Shape subclasses tuple so it splices and compares like one.
+`gather` is the one element-copy loop; getindex and view
+materialization both use it.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "size",
     "to_text",
     "from_text",
+    "gather",
 ]
 
 
@@ -158,6 +161,19 @@ class NdArray:
 
 
 IndexArg = Union[int, Range, NdArray]
+
+
+def gather(buffer, offset: int, steps) -> list:
+    """Read buffer[offset + s1 + ... + sn] for every choice of one flat step
+    sk from each dimension's list steps[k], in column-major order.
+
+    The offsets are built one dimension at a time, last dimension first,
+    so the first dimension varies fastest. No bounds are checked.
+    """
+    flats = [offset]
+    for dim_steps in reversed(steps):
+        flats = [f + s for f in flats for s in dim_steps]
+    return [buffer[f] for f in flats]
 
 
 def iota(shape: Sequence[int]) -> NdArray:

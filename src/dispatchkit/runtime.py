@@ -5,7 +5,7 @@ prelude (tuple, length, size, +, error, sum, droptrail1) and one of the
 packaged indexing rule sets. Programs are loaded incrementally; their
 definitions extend the function table and their top-level expressions
 evaluate through the dispatch engine, so every call in a trace went
-through select.
+through the same method selection as `select`.
 
 Native methods carry a transfer annotation: the result type as a
 function of the (already narrowed) argument tuple type. The inference
@@ -151,7 +151,7 @@ class Evaluator:
         except TypeError as err:
             raise EvalError(str(err), e.loc) from None
         try:
-            m = gf.select(make_tuple(arg_types))
+            m = gf.method_for(arg_types)
             result = m.fn(*args)
         except DispatchError as err:
             raise EvalError(str(err), e.loc) from None

@@ -7,10 +7,13 @@ cumulative product of the extents. A view is Contiguous exactly when
 every dimension is in that leading run.
 
 Index vocabulary: COLON keeps a whole dimension, an int picks one
-position, a Range picks an interval. Result shape follows the
-trailing-drop convention: scalar-indexed dimensions survive as extent
-1 unless they form a trailing run, which is dropped. Kept scalar
-dimensions get stride 0 (the subscript there can only be 1).
+position, a Range picks an interval. The result shape is not decided
+here: it is what `index_shape` of the chosen rule set returns for the
+indexes, each COLON passed as the whole Range, so a view has the shape
+`getindex` gives the same selection under the same rule. With these
+index kinds every rule drops only extent-1 dimensions; the one
+subscript of a dropped dimension is 1, so it lives in the offset. Kept
+scalar dimensions get stride 0 (the subscript there can only be 1).
 
 Views of views resolve to the inner base eagerly, so reading an element
 is always one multiply-add chain against one buffer.
@@ -19,10 +22,10 @@ is always one multiply-add chain against one buffer.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
-from .ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape
+from .indexing import index_shape
+from .ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, gather
 
 __all__ = [
     "COLON",
@@ -30,7 +33,6 @@ __all__ = [
     "ViewKind",
     "ArrayView",
     "contrank",
-    "vshape",
     "view",
     "view_get",
     "to_array",
@@ -125,45 +127,23 @@ def contrank(a, indices) -> int:
     return n
 
 
-def _extents(indices, shape):
-    out = []
-    for idx, extent in zip(indices, shape):
-        if idx is COLON:
-            out.append(extent)
-        elif isinstance(idx, int):
-            out.append(1)
-        else:
-            out.append(idx.length)
-    return out
-
-
-def vshape(a, indices) -> Shape:
-    """Result extents; a trailing run of scalar indexes is dropped."""
-    _, _, shape, _ = _layout(a)
-    _check_indices(indices, shape)
-    keep = len(indices)
-    while keep > 0 and isinstance(indices[keep - 1], int):
-        keep -= 1
-    return Shape(_extents(indices[:keep], shape[:keep]))
-
-
-def view(a, indices) -> ArrayView:
-    """Build a view; no elements are copied."""
+def view(a, indices, rule="trailing-drop") -> ArrayView:
+    """Build a view; no elements are copied. The shape is the rule's `index_shape`."""
     base, offset, shape, strides = _layout(a)
     _check_indices(indices, shape)
-    for idx, stride in zip(indices, strides):
-        if isinstance(idx, int):
-            offset += (idx - 1) * stride
-        elif isinstance(idx, Range) and idx.length > 0:
-            offset += (idx.lo - 1) * stride
-    keep = len(indices)
-    while keep > 0 and isinstance(indices[keep - 1], int):
-        keep -= 1
-    out_shape = Shape(_extents(indices[:keep], shape[:keep]))
-    out_strides = tuple(
-        0 if isinstance(idx, int) else stride
-        for idx, stride in zip(indices[:keep], strides[:keep])
-    )
+    full = [Range(1, extent) if idx is COLON else idx for idx, extent in zip(indices, shape)]
+    out_shape = index_shape(rule, full)
+    out_strides = []
+    for idx, stride in zip(full, strides):
+        scalar = isinstance(idx, int)
+        lo, extent = (idx, 1) if scalar else (idx.lo, idx.length)
+        if extent > 0:
+            offset += (lo - 1) * stride
+        # kept dimensions appear in order; every other one has extent 1
+        k = len(out_strides)
+        if k < len(out_shape) and out_shape[k] == extent:
+            out_strides.append(0 if scalar else stride)
+    out_strides = tuple(out_strides)
     crank = crank_from_strides(out_shape, out_strides)
     kind = ViewKind.CONTIGUOUS if crank == len(out_shape) else ViewKind.STRIDED
     return ArrayView(base, offset, out_shape, out_strides, kind, crank)
@@ -181,9 +161,6 @@ def view_get(v: ArrayView, subscript):
 
 
 def to_array(v: ArrayView) -> NdArray:
-    """Copy a view into a fresh array (column-major)."""
-    if not v.shape:
-        return NdArray((), [view_get(v, ())])
-    axes = [range(1, e + 1) for e in v.shape]
-    values = [view_get(v, rev[::-1]) for rev in itertools.product(*reversed(axes))]
-    return NdArray(tuple(v.shape), values)
+    """Copy a view into a fresh array (column-major); `view` checked the bounds."""
+    steps = [[k * stride for k in range(extent)] for extent, stride in zip(v.shape, v.strides)]
+    return NdArray(tuple(v.shape), gather(v.base.buffer, v.offset, steps))

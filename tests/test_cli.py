@@ -171,6 +171,19 @@ class TestViewDemo:
         assert rows[1]["crank"] == 0
         assert all(r["matches_copy"] for r in rows)
 
+    @pytest.mark.parametrize("rule, plane_shape", [
+        ("trailing-drop", [1, 5, 6]),
+        ("drop-size1", [1, 5, 6]),
+        ("apl", [5, 6]),
+        ("all-drop", [5, 6]),
+    ])
+    def test_index_rule_is_honoured(self, capsys, rule, plane_shape):
+        argv = ["view-demo", "--index-rule", rule, "--format", "json-lines"]
+        assert main(argv) == 0
+        rows = [json.loads(x) for x in capsys.readouterr().out.splitlines()]
+        assert all(r["matches_copy"] for r in rows)
+        assert [r["shape"] for r in rows if r["view"] == "A[2, :, :]"] == [plane_shape]
+
 
 class TestFlags:
     def test_unknown_flag_exit_2(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from dispatchkit.indexing import getindex
 from dispatchkit.ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, iota
+from dispatchkit.preludes import RULE_NAMES
 from dispatchkit.views import (
     COLON,
     ArrayView,
@@ -17,7 +18,6 @@ from dispatchkit.views import (
     to_array,
     view,
     view_get,
-    vshape,
 )
 
 from oracles import crank_oracle, materialize_view
@@ -70,20 +70,22 @@ class TestContrank:
 
 
 class TestVshape:
+    """View shapes under the default trailing-drop rule."""
+
     def test_examples(self, a456):
-        assert vshape(a456, [COLON, COLON, 2]) == Shape((4, 5))
-        assert vshape(a456, [COLON, 2, COLON]) == Shape((4, 1, 6))
-        assert vshape(a456, [COLON, COLON, COLON]) == Shape((4, 5, 6))
+        assert view(a456, [COLON, COLON, 2]).shape == Shape((4, 5))
+        assert view(a456, [COLON, 2, COLON]).shape == Shape((4, 1, 6))
+        assert view(a456, [COLON, COLON, COLON]).shape == Shape((4, 5, 6))
 
     def test_ranges(self, a456):
-        assert vshape(a456, [Range(2, 3), COLON, 1]) == Shape((2, 5))
+        assert view(a456, [Range(2, 3), COLON, 1]).shape == Shape((2, 5))
 
     def test_all_scalars(self, a456):
-        assert vshape(a456, [1, 2, 3]) == Shape(())
+        assert view(a456, [1, 2, 3]).shape == Shape(())
 
     def test_bounds(self, a456):
         with pytest.raises(BoundsError):
-            vshape(a456, [COLON, 6, COLON])
+            view(a456, [COLON, 6, COLON])
 
 
 class TestViewGet:
@@ -226,3 +228,24 @@ def test_fuzz_view_composition():
         want = getindex(m1, _as_getindex_indices(i2, tuple(v1.shape)),
                         "trailing-drop")
         assert to_array(v2) == want, (shape, i1, i2)
+
+
+@pytest.mark.parametrize("rule", RULE_NAMES)
+def test_fuzz_views_follow_the_rule(rule):
+    """A view, and a view of that view, copy to what getindex returns
+    under the same rule; rank 0 to 4, extent-0 dimensions, empty ranges."""
+    rng = random.Random(1618 + RULE_NAMES.index(rule))
+    for _ in range(150):
+        shape = tuple(rng.randrange(5) for _ in range(rng.randrange(5)))
+        a = iota(shape)
+        v, parent = a, a
+        for _ in range(rng.randint(1, 2)):
+            indices = _random_view_indices(rng, parent.shape)
+            v = view(v, indices, rule)
+            assert v.base is a
+            got = to_array(v)
+            want = getindex(parent, _as_getindex_indices(indices, parent.shape), rule)
+            assert got == want, (rule, shape, indices)
+            assert materialize_view(v) == list(got.buffer)
+            assert v.crank == crank_oracle(v.shape, v.strides)
+            parent = got
