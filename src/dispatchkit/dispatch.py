@@ -3,10 +3,14 @@
 A generic function owns an ordered list of methods. Calling one selects
 the applicable method whose signature, read as a tuple type, is most
 specific for the concrete argument types, then runs its body. Selection
-is memoized per concrete argument-type tuple in one place,
-`GenericFunction.method_for`, which `select`, `dispatch_call` and the
-evaluator all go through; any (re)definition clears the memo, so a warm
-cache is observationally identical to a cold one.
+is memoized in one dict per generic function. Calls go through
+`GenericFunction.method_for_args`, which `dispatch_call` and the
+evaluator share: it keys the memo on the host classes of the arguments
+when those alone fix their types, the way a polymorphic inline cache
+keys on the receiver's class, and otherwise on the tuple of their
+concrete types, as `method_for` and `select` do. Any (re)definition
+clears the memo, so a warm cache is observationally identical to a
+cold one.
 
 Specificity uses the signature order from the lattice module (see the
 note there): it extends strict semantic subtyping so that variadic
@@ -30,6 +34,7 @@ from .lattice import (
     signature_subtype,
     subtype,
 )
+from . import values
 from .values import type_of
 
 __all__ = [
@@ -190,6 +195,26 @@ class GenericFunction:
             m = self._cache[key] = self._select_uncached(make_tuple(key))
         return m
 
+    def method_for_args(self, args) -> Method:
+        """The method for a list of argument values.
+
+        While no value probe is registered, an argument list whose exact
+        classes all have a fixed type (see `values.type_of`) is memoized
+        on those classes, so a hit builds and hashes no type values. Class
+        keys share the memo with the `type_of` keys of `method_for`, which
+        every other argument list takes, and never equal one.
+        """
+        if self.cache_enabled and not values._probes:
+            key = tuple(map(type, args))
+            m = self._cache.get(key)
+            if m is not None:
+                return m
+            if values._HOST_TYPES.keys() >= set(key):
+                m = self._cache[key] = self._select_uncached(
+                    make_tuple(tuple(map(type_of, args))))
+                return m
+        return self.method_for(tuple(map(type_of, args)))
+
     def select(self, arg_types: TupleType) -> Method:
         if arg_types.tail is None:
             return self.method_for(arg_types.fixed)
@@ -222,7 +247,7 @@ class GenericFunction:
 
 
 def dispatch_call(gf: GenericFunction, args) -> Any:
-    return gf.method_for(tuple(type_of(a) for a in args)).fn(*args)
+    return gf.method_for_args(args).fn(*args)
 
 
 class FunctionTable:

@@ -19,6 +19,7 @@ still structurally stable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -105,129 +106,67 @@ class Program:
 
 # ---------------------------------------------------------------- lexer
 
-_PUNCT = {
-    "(": "LPAREN",
-    ")": "RPAREN",
-    ",": "COMMA",
-    "=": "EQUALS",
-    "+": "PLUS",
-}
+# One alternation, tried in order at each position, the commonest tokens
+# first; BADNUM and BADSTR only match where FLOAT/INT and STRING failed,
+# and CHAR catches everything else. Identifiers start with a letter or '_'
+# ([^\W\d] also admits non-decimal digits such as '²'; _lex rejects
+# those). A '.' after digits starts a float only when it does not begin
+# '...'. A comment takes no columns: the NEWLINE after it, or the end of
+# input, is located at its '#'.
+_TOKEN = re.compile(r"""
+    (?P<IDENT>[^\W\d]\w*) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
+  | (?P<SKIP>[ \t\r]+)
+  | (?P<FLOAT>[0-9]+\.[0-9]+) | (?P<BADNUM>[0-9]+\.(?!\.\.)) | (?P<INT>[0-9]+)
+  | (?P<PLUS>\+) | (?P<NEWLINE>(?:\#[^\n]*)?\n) | (?P<COMMENT>\#[^\n]*)
+  | (?P<ELLIPSIS>\.\.\.) | (?P<DCOLON>::) | (?P<COLON>:) | (?P<EQUALS>=)
+  | (?P<STRING>"(?:[^"\\\n]|\\[\\"]|\\(?![\\"]))*") | (?P<BADSTR>")
+  | (?P<CHAR>.)
+""", re.VERBOSE)
+_ESCAPE = re.compile(r'\\([\\"])')
 
-
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# a token is (kind, text, line, col); tok[2:] is its location
+_Token = tuple
 
 
 def _lex(source: str) -> list[_Token]:
     toks: list[_Token] = []
-    line, col = 1, 1
-    depth = 0
-    i, n = 0, len(source)
-
-    def emit(kind, text, l=None, c=None):
-        toks.append(_Token(kind, text, l if l is not None else line,
-                           c if c is not None else col))
-
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            if depth == 0 and toks and toks[-1].kind != "NEWLINE":
-                emit("NEWLINE", "\n")
-            i += 1
+    line, line_start, depth, end = 1, 0, 0, len(source)
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "SKIP":
+            continue
+        pos = m.start()
+        if kind == "COMMENT":  # only at end of input
+            end = pos
+            continue
+        col = pos - line_start + 1
+        if kind == "NEWLINE":
+            if depth == 0 and toks and toks[-1][0] != "NEWLINE":
+                toks.append(("NEWLINE", "\n", line, col))
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("...", i):
-            emit("ELLIPSIS", "...")
-            i += 3
-            col += 3
-            continue
-        if source.startswith("::", i):
-            emit("DCOLON", "::")
-            i += 2
-            col += 2
-            continue
-        if ch == ":":
-            emit("COLON", ":")
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth = max(0, depth - 1)
-            emit(_PUNCT[ch], ch)
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            buf = []
-            while i < n and source[i] != '"':
-                c = source[i]
-                if c == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                if c == "\\" and i + 1 < n and source[i + 1] in '\\"':
-                    buf.append(source[i + 1])
-                    i += 2
-                    col += 2
-                    continue
-                buf.append(c)
-                i += 1
-                col += 1
-            if i >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            i += 1
-            col += 1
-            emit("STRING", "".join(buf), start_line, start_col)
-            continue
-        if ch.isdigit():
-            start_col = col
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            # a '.' starts a float only when not part of '...'
-            if j < n and source[j] == "." and not source.startswith("...", j):
-                j += 1
-                if j >= n or not source[j].isdigit():
-                    raise ParseError("malformed number", line, start_col)
-                while j < n and source[j].isdigit():
-                    j += 1
-                emit("FLOAT", source[i:j], line, start_col)
-            else:
-                emit("INT", source[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            start_col = col
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            emit("IDENT", source[i:j], line, start_col)
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-
-    if toks and toks[-1].kind != "NEWLINE":
-        emit("NEWLINE", "\n")
-    emit("EOF", "")
+        text = m.group()
+        if kind == "IDENT":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        elif kind == "LPAREN":
+            depth += 1
+        elif kind == "RPAREN":
+            depth = max(0, depth - 1)
+        elif kind == "STRING":
+            text = _ESCAPE.sub(r"\1", text[1:-1])
+        elif kind == "BADNUM":
+            raise ParseError("malformed number", line, col)
+        elif kind == "BADSTR":
+            raise ParseError("unterminated string", line, col)
+        elif kind == "CHAR":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        toks.append((kind, text, line, col))
+    col = end - line_start + 1
+    if toks and toks[-1][0] != "NEWLINE":
+        toks.append(("NEWLINE", "\n", line, col))
+    toks.append(("EOF", "", line, col))
     return toks
 
 
@@ -235,38 +174,38 @@ def _lex(source: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent over the token list; `kinds[pos]` is the lookahead
+    (the EOF token is last and never consumed)."""
+
     def __init__(self, toks: list[_Token]):
         self.toks = toks
+        self.kinds = [t[0] for t in toks]
         self.pos = 0
-
-    def peek(self, ahead=0) -> _Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
 
     def next(self) -> _Token:
         t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
+        self.pos += 1
         return t
 
     def expect(self, kind: str) -> _Token:
-        t = self.peek()
-        if t.kind != kind:
-            raise ParseError(f"expected {kind}, got {t.kind} {t.text!r}",
-                             t.line, t.col)
-        return self.next()
+        t = self.toks[self.pos]
+        if t[0] != kind:
+            raise ParseError(f"expected {kind}, got {t[0]} {t[1]!r}", t[2], t[3])
+        self.pos += 1
+        return t
 
     def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
+        raise ParseError(msg, *self.toks[self.pos][2:])
 
     def program(self) -> Program:
         items = []
-        while self.peek().kind != "EOF":
-            if self.peek().kind == "NEWLINE":
-                self.next()
+        kinds = self.kinds
+        while kinds[self.pos] != "EOF":
+            if kinds[self.pos] == "NEWLINE":
+                self.pos += 1
                 continue
             items.append(self.statement())
-            if self.peek().kind not in ("NEWLINE", "EOF"):
+            if kinds[self.pos] not in ("NEWLINE", "EOF"):
                 self.fail("expected end of statement")
         return Program(items)
 
@@ -276,137 +215,127 @@ class _Parser:
         return self.expr()
 
     def _looks_like_def(self) -> bool:
-        t = self.peek()
-        if t.kind not in ("IDENT", "PLUS") or self.peek(1).kind != "LPAREN":
+        kinds = self.kinds
+        if kinds[self.pos] not in ("IDENT", "PLUS") or kinds[self.pos + 1] != "LPAREN":
             return False
         depth = 0
-        k = self.pos + 1
-        while k < len(self.toks):
-            kind = self.toks[k].kind
+        for k in range(self.pos + 1, len(kinds)):
+            kind = kinds[k]
             if kind == "LPAREN":
                 depth += 1
             elif kind == "RPAREN":
                 depth -= 1
                 if depth == 0:
-                    return self.toks[k + 1].kind == "EQUALS"
+                    return kinds[k + 1] == "EQUALS"
             elif kind in ("NEWLINE", "EOF"):
                 return False
-            k += 1
         return False
 
     def method_def(self) -> MethodDef:
         t = self.next()
-        fname = "+" if t.kind == "PLUS" else t.text
+        fname = "+" if t[0] == "PLUS" else t[1]
         self.expect("LPAREN")
         params = []
-        if self.peek().kind != "RPAREN":
-            while True:
+        if self.kinds[self.pos] != "RPAREN":
+            params.append(self.param())
+            while self.kinds[self.pos] == "COMMA":
+                self.pos += 1
                 params.append(self.param())
-                if self.peek().kind == "COMMA":
-                    self.next()
-                    continue
-                break
         self.expect("RPAREN")
         self.expect("EQUALS")
         body = self.expr()
         for p in params[:-1]:
             if p.variadic:
-                raise ParseError("only the last parameter may be variadic",
-                                 t.line, t.col)
-        return MethodDef(fname, params, body, (t.line, t.col))
+                raise ParseError("only the last parameter may be variadic", t[2], t[3])
+        return MethodDef(fname, params, body, t[2:])
 
     def param(self) -> Param:
-        name = self.expect("IDENT").text
+        name = self.expect("IDENT")[1]
         type_name = None
-        if self.peek().kind == "DCOLON":
-            self.next()
-            type_name = self.expect("IDENT").text
-        variadic = False
-        if self.peek().kind == "ELLIPSIS":
-            self.next()
-            variadic = True
+        if self.kinds[self.pos] == "DCOLON":
+            self.pos += 1
+            type_name = self.expect("IDENT")[1]
+        variadic = self.kinds[self.pos] == "ELLIPSIS"
+        if variadic:
+            self.pos += 1
         return Param(name, type_name, variadic)
 
     # precedence: additive < range < primary; after an operand a `+` is
     # always the infix operator, in operand position it heads a call
     def expr(self) -> Expr:
-        left = self.range_expr()
-        while self.peek().kind == "PLUS":
-            t = self.next()
-            right = self.range_expr()
-            left = Call("+", [left, right], (t.line, t.col))
-        return left
-
-    def range_expr(self) -> Expr:
-        lo = self.primary()
-        if self.peek().kind == "COLON":
-            t = self.next()
-            hi = self.primary()
-            return RangeLit(lo, hi, (t.line, t.col))
-        return lo
+        kinds = self.kinds
+        left = plus = None
+        while True:
+            e = self.primary()
+            if kinds[self.pos] == "COLON":
+                t = self.next()
+                e = RangeLit(e, self.primary(), t[2:])
+            left = e if plus is None else Call("+", [left, e], plus[2:])
+            if kinds[self.pos] != "PLUS":
+                return left
+            plus = self.next()
 
     def primary(self) -> Expr:
-        t = self.peek()
-        if t.kind == "INT":
-            self.next()
-            return Lit(int(t.text), (t.line, t.col))
-        if t.kind == "FLOAT":
-            self.next()
-            return Lit(float(t.text), (t.line, t.col))
-        if t.kind == "STRING":
-            self.next()
-            return Lit(t.text, (t.line, t.col))
-        if t.kind == "PLUS" and self.peek(1).kind == "LPAREN":
-            self.next()
+        t = self.toks[self.pos]
+        kind = t[0]
+        if kind == "IDENT":
+            self.pos += 1
+            if self.kinds[self.pos] == "LPAREN":
+                return self.call(t[1], t)
+            return Ident(t[1], t[2:])
+        if kind == "INT":
+            self.pos += 1
+            return Lit(int(t[1]), t[2:])
+        if kind == "FLOAT":
+            self.pos += 1
+            return Lit(float(t[1]), t[2:])
+        if kind == "STRING":
+            self.pos += 1
+            return Lit(t[1], t[2:])
+        if kind == "PLUS" and self.kinds[self.pos + 1] == "LPAREN":
+            self.pos += 1
             return self.call("+", t)
-        if t.kind == "IDENT":
-            self.next()
-            if self.peek().kind == "LPAREN":
-                return self.call(t.text, t)
-            return Ident(t.text, (t.line, t.col))
-        if t.kind == "LPAREN":
+        if kind == "LPAREN":
             return self.tuple_or_group()
-        self.fail(f"unexpected {t.kind} {t.text!r}")
+        self.fail(f"unexpected {kind} {t[1]!r}")
 
     def call(self, fname: str, t: _Token) -> Call:
-        self.expect("LPAREN")
+        self.pos += 1  # the LPAREN both callers have seen
         args = []
-        if self.peek().kind != "RPAREN":
-            while True:
+        if self.kinds[self.pos] != "RPAREN":
+            args.append(self.argument())
+            while self.kinds[self.pos] == "COMMA":
+                self.pos += 1
                 args.append(self.argument())
-                if self.peek().kind == "COMMA":
-                    self.next()
-                    continue
-                break
         self.expect("RPAREN")
-        return Call(fname, args, (t.line, t.col))
+        return Call(fname, args, t[2:])
 
     def argument(self):
         e = self.expr()
-        if self.peek().kind == "ELLIPSIS":
-            t = self.next()
-            return Splice(e, (t.line, t.col))
+        if self.kinds[self.pos] == "ELLIPSIS":
+            return Splice(e, self.next()[2:])
         return e
 
     def tuple_or_group(self) -> Expr:
-        t = self.expect("LPAREN")
-        if self.peek().kind == "RPAREN":
-            self.next()
-            return Call("tuple", [], (t.line, t.col))
+        t = self.next()
+        kinds = self.kinds
+        if kinds[self.pos] == "RPAREN":
+            self.pos += 1
+            return Call("tuple", [], t[2:])
         first = self.argument()
-        if self.peek().kind == "RPAREN":
-            self.next()
+        if kinds[self.pos] == "RPAREN":
+            self.pos += 1
             if isinstance(first, Splice):
-                return Call("tuple", [first], (t.line, t.col))
+                return Call("tuple", [first], t[2:])
             return first
         args = [first]
-        while self.peek().kind == "COMMA":
-            self.next()
-            if self.peek().kind == "RPAREN":
+        while kinds[self.pos] == "COMMA":
+            self.pos += 1
+            if kinds[self.pos] == "RPAREN":
                 break
             args.append(self.argument())
         self.expect("RPAREN")
-        return Call("tuple", args, (t.line, t.col))
+        return Call("tuple", args, t[2:])
 
 
 def parse(source: str) -> Program:

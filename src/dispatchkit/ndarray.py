@@ -107,7 +107,7 @@ class NdArray:
         for e in shape:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"extents must be non-negative integers, got {e!r}")
-        buffer = tuple(float(v) for v in values)
+        buffer = tuple(map(float, values))
         if len(buffer) != _product(shape):
             raise ValueError(
                 f"buffer has {len(buffer)} elements but shape {shape} needs {_product(shape)}"

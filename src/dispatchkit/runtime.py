@@ -23,7 +23,7 @@ from .ndarray import NdArray, Range, Shape
 from .ndarray import length as array_length
 from .ndarray import size as array_size
 from .preludes import prelude_source
-from .values import FLOAT, INT, INTEGER, INT_ARRAY, RANGE, REAL, STRING, type_of
+from .values import FLOAT, INT, INTEGER, INT_ARRAY, RANGE, REAL, STRING
 
 __all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "install_prelude"]
 
@@ -112,13 +112,16 @@ class Evaluator:
         return trace
 
     def eval(self, e, env: dict):
-        if isinstance(e, Lit):
-            return e.value
-        if isinstance(e, Ident):
+        kind = type(e)
+        if kind is Call:
+            return self._call(e, env)
+        if kind is Ident:
             if e.name in env:
                 return env[e.name]
             raise EvalError(f"unbound identifier {e.name}", e.loc)
-        if isinstance(e, RangeLit):
+        if kind is Lit:
+            return e.value
+        if kind is RangeLit:
             lo = self.eval(e.lo, env)
             hi = self.eval(e.hi, env)
             if not isinstance(lo, int) or not isinstance(hi, int) \
@@ -128,14 +131,12 @@ class Evaluator:
                 return Range(lo, hi)
             except ValueError as err:
                 raise EvalError(str(err), e.loc) from None
-        if isinstance(e, Call):
-            return self._call(e, env)
         raise EvalError(f"cannot evaluate {e!r}", getattr(e, "loc", None))
 
     def _call(self, e: Call, env: dict):
         args = []
         for a in e.args:
-            if isinstance(a, Splice):
+            if type(a) is Splice:
                 v = self.eval(a.expr, env)
                 if isinstance(v, tuple):  # Shape included
                     args.extend(v)
@@ -147,15 +148,12 @@ class Evaluator:
         if gf is None:
             raise EvalError(f"unknown function {e.fname}", e.loc)
         try:
-            arg_types = tuple(type_of(v) for v in args)
-        except TypeError as err:
+            m = gf.method_for_args(args)
+        except (TypeError, DispatchError) as err:  # TypeError: from type_of
             raise EvalError(str(err), e.loc) from None
         try:
-            m = gf.method_for(arg_types)
             result = m.fn(*args)
-        except DispatchError as err:
-            raise EvalError(str(err), e.loc) from None
-        except LangError as err:
+        except (DispatchError, LangError) as err:
             raise EvalError(str(err), e.loc) from None
         if self.observer is not None:
             self.observer(e, m, args, result)

@@ -40,6 +40,9 @@ INT_ARRAY = Named("IntArray")
 SHAPE = Named("Shape")
 _QUANTITY_TYPE = Named("Quantity")
 
+# the value kinds whose type follows from their exact class alone
+_HOST_TYPES = {int: INT, float: FLOAT, str: STRING, Range: RANGE, NdArray: INT_ARRAY}
+
 _probes: list[Callable[[object], TypeExpr | None]] = []
 
 
@@ -53,6 +56,9 @@ def type_of(v) -> TypeExpr:
         t = probe(v)
         if t is not None:
             return t
+    t = _HOST_TYPES.get(type(v))
+    if t is not None:
+        return t
     if isinstance(v, bool):
         raise TypeError("booleans are not runtime values")
     if isinstance(v, int):

@@ -38,6 +38,13 @@ class TestRun:
         assert main(["run", f]) == 1
         assert "boom" in capsys.readouterr().err
 
+    def test_non_ascii_digit_exit_2(self, tmp_path, capsys):
+        f = _write(tmp_path, "sq.mjl", "sum(2, 3\u00b2)\n")
+        assert main(["run", f]) == 2
+        err = capsys.readouterr().err
+        assert "error: line 1, column 9: unexpected character" in err
+        assert "Traceback" not in err
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.mjl")]) == 2
         assert "error" in capsys.readouterr().err
@@ -100,6 +107,13 @@ class TestInfer:
     def test_syntax_error(self, tmp_path, capsys):
         f = _write(tmp_path, "p.mjl", "f(::) = 1\n")
         assert main(["infer", f]) == 2
+
+    def test_non_ascii_digit_exit_2(self, tmp_path, capsys):
+        f = _write(tmp_path, "sq.mjl", "f(x) = x\nf(\u00b2)\n")
+        assert main(["infer", f]) == 2
+        err = capsys.readouterr().err
+        assert "error: line 2, column 3: unexpected character" in err
+        assert "Traceback" not in err
 
     def test_json_lines(self, tmp_path, capsys):
         f = _write(tmp_path, "p.mjl", "sum(1, 2)\n")

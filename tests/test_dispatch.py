@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+import dispatchkit.values as values
 from dispatchkit.dispatch import (
     AmbiguityError,
     DefinitionError,
+    DispatchError,
     FunctionTable,
     GenericFunction,
     MethodSignature,
@@ -17,7 +19,8 @@ from dispatchkit.dispatch import (
     signature,
 )
 from dispatchkit.lattice import ANY, Named, TupleType, TypeTable, make_tuple, subtype
-from dispatchkit.values import FLOAT, INT, STRING
+from dispatchkit.ndarray import Range, Shape, iota
+from dispatchkit.values import FLOAT, INT, INT_ARRAY, RANGE, STRING, type_of
 
 from oracles import small_universe
 
@@ -266,3 +269,69 @@ def test_specificity_consistent_with_subtyping(table):
         if ab and ba:
             assert not ms_ab and not ms_ba, (a, b)
         assert not (ms_ab and ms_ba), (a, b)
+
+
+class TestHostClassMemo:
+    """method_for_args, with its memo keyed on host classes, against
+    uncached selection on the type_of key of the same arguments."""
+
+    VALUES = [0, 3, -1, 2.5, 0.0, "s", "", Range(1, 3), Range(2, 1),
+              iota((2,)), iota((1, 2)), True, False, (), (1, 2), (2.5,),
+              ("s", 1), Shape((2, 3)), Shape(()), ((1,), 2.0), ((), ((3,),))]
+
+    @pytest.fixture
+    def gf(self, table):
+        gf = GenericFunction("f", table)
+        gf.define(signature(INT, ANY), lambda a, b: "int-any")
+        gf.define(signature(ANY, INT), lambda a, b: "any-int")
+        gf.define(signature(REAL, REAL), lambda a, b: "real-real")
+        gf.define(signature(STRING), lambda s: "string")
+        gf.define(signature(RANGE, INT_ARRAY), lambda r, a: "range-array")
+        gf.define(signature(make_tuple((), INT)), lambda t: "int-tuple")
+        gf.define(signature(INTEGER, REAL, variadic=True), lambda *xs: "integer-real...")
+        gf.define(signature(ANY, ANY, ANY), lambda *xs: "any3")
+        return gf
+
+    @staticmethod
+    def outcome(select):
+        try:
+            return select()
+        except (DispatchError, TypeError) as err:
+            return type(err)
+
+    def arg_lists(self, seed=1407):
+        rng = random.Random(seed)
+        return [tuple(rng.choice(self.VALUES) for _ in range(rng.randrange(4)))
+                for _ in range(400)]
+
+    def check(self, gf):
+        lists = self.arg_lists()
+        for args in lists + lists:  # the second round reads a warm memo
+            want = self.outcome(
+                lambda: gf._select_uncached(make_tuple(tuple(map(type_of, args)))))
+            assert self.outcome(lambda: gf.method_for_args(args)) is want, args
+
+    def test_warm(self, gf):
+        self.check(gf)
+        assert gf._cache
+
+    def test_cache_disabled(self, gf):
+        gf.cache_enabled = False
+        self.check(gf)
+        assert gf._cache == {}
+
+    def test_define_changes_the_winner(self, gf):
+        self.check(gf)
+        assert self.outcome(lambda: gf.method_for_args((1, 2))) is AmbiguityError
+        gf.define(signature(INT, INT), lambda a, b: "int-int")
+        assert gf.method_for_args((1, 2)).fn(1, 2) == "int-int"
+        self.check(gf)
+
+    def test_value_probe(self, gf, monkeypatch):
+        self.check(gf)  # leave class keys in the memo
+        # a probe that types one int value differently from the others, so
+        # no memo keyed on the int class can answer for both
+        zero_is_string = lambda v: STRING if type(v) is int and v == 0 else None
+        monkeypatch.setattr(values, "_probes", [zero_is_string])
+        assert gf.method_for_args((0,)).fn("") == "string"
+        self.check(gf)

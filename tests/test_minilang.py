@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +140,27 @@ class TestParseErrors:
         assert e.value.lineno == 2
         assert "line 2" in str(e.value)
 
+    @pytest.mark.parametrize("src, line, col", [
+        ("\u00b2", 1, 1),
+        ("f(\u00b2)", 1, 3),
+        ("x = 1\n  1\u00b2 + 2\n", 2, 4),
+        ("\u00b2x", 1, 1),
+        ("\u0663", 1, 1),  # ARABIC-INDIC DIGIT THREE: a decimal, not [0-9]
+    ])
+    def test_non_ascii_digit_is_an_unexpected_character(self, src, line, col):
+        with pytest.raises(ParseError, match="unexpected character") as e:
+            parse(src)
+        assert (e.value.lineno, e.value.offset) == (line, col)
+
+    def test_non_ascii_digit_continues_an_identifier(self):
+        assert parse("x\u00b2").items[0] == Ident("x\u00b2")
+        assert parse("\u00e9t\u00e9").items[0] == Ident("\u00e9t\u00e9")
+
+    def test_end_after_a_comment_is_located_at_the_hash(self):
+        with pytest.raises(ParseError) as e:
+            parse("f(1 # no closing paren")
+        assert (e.value.lineno, e.value.offset) == (1, 5)
+
 
 class TestLocations:
     def test_statement_lines(self):
@@ -225,3 +249,71 @@ class TestRoundTrip:
                 else:
                     items.append(expr(2))
             _round_trip_stable(print_program(Program(items)))
+
+
+# The golden file records what the parser did at the commit before the
+# one-regex lexer: for each seeded source, the printed program or the
+# ParseError (message, line, column), or the name of any other exception.
+# Entries are compared exactly, with one exception: a non-ASCII digit that
+# the old lexer took for the start of a number is now an "unexpected
+# character" at lexing time, so those sources may raise earlier than they
+# used to, and a source that crashed with a non-SyntaxError must now raise
+# ParseError.
+GOLDEN = Path(__file__).parent / "data" / "parse_golden.json"
+
+_OPERANDS = ["x", "7", "042", "3.5", "()", "(1, 2)", "(x,)", "1:3", "f(x)",
+             "g(a, b...)", '"s\\"t"', "+(1, 2)", "sum(x, y)", "tuple(a...)",
+             "xé", "(", ")", "f(x) = x", "h(a::Int, b...) = a + b"]
+_JOINS = [" + ", ":", "\n", " ", ", ", "\n\n", "+"]
+_NOISE = ["#", '"', "\\", "\t", "\r\n", "1.", ".", "é", "²", "::", "x::Int",
+          "=", "...", "# c\n", ",", "(", ")"]
+
+
+def golden_sources(n=500, seed=20261018):
+    """Seeded sources: half alternate operands and joins, so a fair share
+    parses; the other half also draw from the noisy fragments."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(n):
+        parts = []
+        for j in range(rng.randint(1, 12)):
+            pool = _JOINS if j % 2 else _OPERANDS
+            if k % 2 == 0 and rng.random() < 0.4:
+                pool = _NOISE
+            parts.append(rng.choice(pool))
+        out.append("".join(parts))
+    return out
+
+
+def parse_outcome(source: str) -> dict:
+    try:
+        return {"printed": print_program(parse(source))}
+    except SyntaxError as err:
+        return {"error": [err.msg, err.lineno, err.offset]}
+    except Exception as err:  # noqa: BLE001 - recording a crash is the point
+        return {"crash": type(err).__name__}
+
+
+def _lexed_as_number_by_old_lexer(source: str, line: int, col: int) -> bool:
+    """True when the run of digit-like characters at (line, col), as the
+    old str.isdigit lexer scanned it, holds a non-ASCII digit."""
+    text = source.split("\n")[line - 1][col - 1:]
+    run = re.match(r"[0-9²]+(?:\.[0-9²]*)?", text)
+    return run is not None and "²" in run.group()
+
+
+class TestParserGolden:
+    def test_sources_are_the_recorded_ones(self):
+        recorded = json.loads(GOLDEN.read_text())
+        assert [r["source"] for r in recorded] == golden_sources()
+
+    def test_matches_the_recorded_parser(self):
+        for r in json.loads(GOLDEN.read_text()):
+            now = parse_outcome(r["source"])
+            if now == r["parent"]:
+                continue
+            assert "error" in now, (r, now)
+            if "crash" in r["parent"]:
+                continue
+            _, line, col = now["error"]
+            assert _lexed_as_number_by_old_lexer(r["source"], line, col), (r, now)

@@ -201,6 +201,14 @@ class TestObserver:
         assert rt._evaluator.observer is None
 
 
+class TestHostValues:
+    @pytest.mark.parametrize("args", [(True,), (1, False), ((True,),)])
+    def test_booleans_rejected_through_call(self, rt, args):
+        # minilang cannot write a boolean; a host caller can pass one
+        with pytest.raises(TypeError, match="booleans are not runtime values"):
+            rt.call("tuple", *args)
+
+
 class TestRuntimeBookkeeping:
     def test_load_definitions_does_not_evaluate(self, rt):
         prog = rt.load_definitions('f(x) = x\nerror("never")')
