@@ -81,7 +81,7 @@ from .units import (
     qadd,
     qmul,
 )
-from .values import register_value_probe, render_value, type_of
+from .values import render_value, type_of
 from .views import (
     COLON,
     ArrayView,

@@ -6,11 +6,11 @@ specific for the concrete argument types, then runs its body. Selection
 is memoized in one dict per generic function. Calls go through
 `GenericFunction.method_for_args`, which `dispatch_call` and the
 evaluator share: it keys the memo on the host classes of the arguments
-when those alone fix their types, the way a polymorphic inline cache
-keys on the receiver's class, and otherwise on the tuple of their
-concrete types, as `method_for` and `select` do. Any (re)definition
-clears the memo, so a warm cache is observationally identical to a
-cold one.
+when each is one of the function's value kinds (the `kinds` map of its
+FunctionTable, see `values`), the way a polymorphic inline cache keys
+on the receiver's class, and otherwise on the tuple of their concrete
+types, as `method_for` and `select` do. Any (re)definition clears the
+memo, so a warm cache is observationally identical to a cold one.
 
 Specificity uses the signature order from the lattice module (see the
 note there): it extends strict semantic subtyping so that variadic
@@ -21,7 +21,7 @@ it raise AmbiguityError rather than falling back to definition order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 from .lattice import (
     ANY,
@@ -34,8 +34,7 @@ from .lattice import (
     signature_subtype,
     subtype,
 )
-from . import values
-from .values import type_of
+from .values import HOST_KINDS, type_of
 
 __all__ = [
     "DispatchError",
@@ -149,9 +148,11 @@ class Method:
 class GenericFunction:
     """Named collection of methods sharing a dispatch cache."""
 
-    def __init__(self, name: str, types: TypeTable):
+    def __init__(self, name: str, types: TypeTable,
+                 kinds: Mapping[type, TypeExpr] = HOST_KINDS):
         self.name = name
         self.types = types
+        self.kinds = kinds
         self.methods: list[Method] = []
         self.cache_enabled = True
         self.frozen = False
@@ -198,22 +199,23 @@ class GenericFunction:
     def method_for_args(self, args) -> Method:
         """The method for a list of argument values.
 
-        While no value probe is registered, an argument list whose exact
-        classes all have a fixed type (see `values.type_of`) is memoized
-        on those classes, so a hit builds and hashes no type values. Class
-        keys share the memo with the `type_of` keys of `method_for`, which
-        every other argument list takes, and never equal one.
+        An argument list whose exact classes are all keys of `kinds` is
+        memoized on those classes, so a hit builds and hashes no type
+        values. Class keys share the memo with the `type_of` keys of
+        `method_for`, which every other argument list takes, and never
+        equal one.
         """
-        if self.cache_enabled and not values._probes:
+        kinds = self.kinds
+        if self.cache_enabled:
             key = tuple(map(type, args))
             m = self._cache.get(key)
             if m is not None:
                 return m
-            if values._HOST_TYPES.keys() >= set(key):
+            if kinds.keys() >= set(key):
                 m = self._cache[key] = self._select_uncached(
-                    make_tuple(tuple(map(type_of, args))))
+                    make_tuple(tuple([type_of(a, kinds) for a in args])))
                 return m
-        return self.method_for(tuple(map(type_of, args)))
+        return self.method_for(tuple([type_of(a, kinds) for a in args]))
 
     def select(self, arg_types: TupleType) -> Method:
         if arg_types.tail is None:
@@ -251,10 +253,12 @@ def dispatch_call(gf: GenericFunction, args) -> Any:
 
 
 class FunctionTable:
-    """All generic functions of one program, plus the type table they share."""
+    """All generic functions of one program, plus the type table and the
+    value kinds they share."""
 
     def __init__(self, types: TypeTable):
         self.types = types
+        self.kinds = dict(HOST_KINDS)
         self._functions: dict[str, GenericFunction] = {}
         self.frozen = False
 
@@ -263,7 +267,7 @@ class FunctionTable:
         if gf is None:
             if self.frozen:
                 raise DefinitionError(f"function table is frozen; cannot create {name}")
-            gf = GenericFunction(name, self.types)
+            gf = GenericFunction(name, self.types, self.kinds)
             self._functions[name] = gf
         return gf
 

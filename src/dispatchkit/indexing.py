@@ -13,48 +13,32 @@ Each rule set gets one lazily built Runtime, shared by all callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .ndarray import BoundsError, IndexArg, NdArray, Range, RankMismatchError, Shape, gather
-from .preludes import RULE_NAMES, UnknownRuleError, prelude_source
+from .preludes import RULE_NAMES
 from .runtime import Runtime
 
 __all__ = [
-    "RuleSet",
-    "get_rule",
     "rule_names",
     "index_shape",
     "getindex",
 ]
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    name: str
-    source: str
-
-
 def rule_names() -> tuple[str, ...]:
     return RULE_NAMES
-
-
-def get_rule(name: str) -> RuleSet:
-    return RuleSet(name, prelude_source(name))
 
 
 _runtimes: dict[str, Runtime] = {}
 
 
-def _runtime_for(rule) -> Runtime:
-    name = rule.name if isinstance(rule, RuleSet) else rule
-    rt = _runtimes.get(name)
+def _runtime_for(rule: str) -> Runtime:
+    rt = _runtimes.get(rule)
     if rt is None:
-        rt = Runtime(index_rule=name)
-        _runtimes[name] = rt
+        rt = _runtimes[rule] = Runtime(index_rule=rule)
     return rt
 
 
-def index_shape(rule, indices) -> Shape:
+def index_shape(rule: str, indices) -> Shape:
     """Result shape for an index list, per the rule's minilang methods."""
     result = _runtime_for(rule).call("index_shape", *indices)
     return result if isinstance(result, Shape) else Shape(result)

@@ -206,10 +206,6 @@ class TypeTable:
         self._check(name)
         return name in self._abstract
 
-    def supertype_name(self, name: str) -> Optional[str]:
-        self._check(name)
-        return self._super[name]
-
     def ancestors(self, name: str) -> frozenset[str]:
         """Names of the ancestors of ``name``, including itself."""
         got = self._ancestors.get(name)

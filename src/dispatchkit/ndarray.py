@@ -26,8 +26,6 @@ __all__ = [
     "RankMismatchError",
     "iota",
     "zeros",
-    "length",
-    "size",
     "to_text",
     "from_text",
     "gather",
@@ -184,32 +182,6 @@ def iota(shape: Sequence[int]) -> NdArray:
 
 def zeros(shape: Sequence[int]) -> NdArray:
     return NdArray(shape, (0.0 for _ in range(_product(shape))))
-
-
-def length(x: IndexArg) -> int:
-    """Number of positions an index selects: scalars count as one."""
-    if isinstance(x, bool):
-        raise TypeError("booleans are not indexes")
-    if isinstance(x, (int, float)):
-        return 1
-    if isinstance(x, Range):
-        return x.length
-    if isinstance(x, NdArray):
-        return _product(x.shape)
-    raise TypeError(f"not an index: {x!r}")
-
-
-def size(x: IndexArg) -> Shape:
-    """The shape an index contributes under rank-summing rules."""
-    if isinstance(x, bool):
-        raise TypeError("booleans are not indexes")
-    if isinstance(x, (int, float)):
-        return Shape(())
-    if isinstance(x, Range):
-        return Shape((x.length,))
-    if isinstance(x, NdArray):
-        return Shape(x.shape)
-    raise TypeError(f"not an index: {x!r}")
 
 
 def to_text(a: NdArray) -> str:

@@ -18,10 +18,8 @@ from typing import Callable, Optional
 
 from .dispatch import DispatchError, FunctionTable, MethodSignature, dispatch_call
 from .lattice import ANY, Bottom, TupleType, TypeTable, UndeclaredTypeError, make_tuple
-from .minilang import Call, Ident, Lit, MethodDef, Param, Program, RangeLit, Splice, parse
+from .minilang import Call, Ident, Lit, MethodDef, Program, RangeLit, Splice, parse
 from .ndarray import NdArray, Range, Shape
-from .ndarray import length as array_length
-from .ndarray import size as array_size
 from .preludes import prelude_source
 from .values import FLOAT, INT, INTEGER, INT_ARRAY, RANGE, REAL, STRING
 
@@ -42,16 +40,6 @@ class EvalError(Exception):
         if self.loc:
             return f"line {self.loc[0]}, column {self.loc[1]}: {self.message}"
         return self.message
-
-
-def _bind(params: list[Param], variadic: bool, args: tuple) -> dict:
-    env = {}
-    fixed = params[:-1] if variadic else params
-    for p, a in zip(fixed, args):
-        env[p.name] = a
-    if variadic:
-        env[params[-1].name] = tuple(args[len(fixed):])
-    return env
 
 
 class Evaluator:
@@ -80,10 +68,20 @@ class Evaluator:
 
     def define(self, d: MethodDef):
         sig = self.signature_of(d)
+        names = [p.name for p in d.params]
+        run = self.eval
+        expr = d.body
+        if sig.variadic:
+            rest = names.pop()
+            n = len(names)
 
-        def body(*args):
-            env = _bind(d.params, sig.variadic, args)
-            return self.eval(d.body, env)
+            def body(*args):
+                env = dict(zip(names, args))
+                env[rest] = args[n:]
+                return run(expr, env)
+        else:
+            def body(*args):
+                return run(expr, dict(zip(names, args)))
 
         fn = body
         if d.fname == "index_shape":
@@ -203,12 +201,13 @@ def install_prelude(ft: FunctionTable) -> None:
 
     ft.define("length", sig((REAL,)), lambda x: 1, transfer=fixed(INT))
     ft.define("length", sig((RANGE,)), lambda r: r.length, transfer=fixed(INT))
-    ft.define("length", sig((INT_ARRAY,)), array_length, transfer=fixed(INT))
+    ft.define("length", sig((INT_ARRAY,)), lambda a: len(a.buffer),
+              transfer=fixed(INT))
 
     ft.define("size", sig((REAL,)), lambda x: Shape(()), transfer=fixed(empty))
-    ft.define("size", sig((RANGE,)), array_size,
+    ft.define("size", sig((RANGE,)), lambda r: Shape((r.length,)),
               transfer=fixed(make_tuple((INT,))))
-    ft.define("size", sig((INT_ARRAY,)), array_size,
+    ft.define("size", sig((INT_ARRAY,)), NdArray.size,
               transfer=fixed(int_tuple))
 
     ft.define("+", sig((INT, INT)), lambda a, b: a + b, transfer=fixed(INT))

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .dispatch import MethodSignature
+from .lattice import Named
+
 __all__ = [
     "BASE_SYMBOLS",
     "Dimension",
@@ -24,6 +27,7 @@ __all__ = [
     "AMOUNT",
     "LUMINOSITY",
     "Quantity",
+    "QUANTITY",
     "UnitMismatchError",
     "qadd",
     "qmul",
@@ -119,36 +123,20 @@ def qmul(a: Quantity, b: Quantity) -> Quantity:
     return Quantity(a.value * b.value, a.dim + b.dim)
 
 
-_probe_installed = False
-
-
-def _quantity_probe(v):
-    from .values import _QUANTITY_TYPE
-    if isinstance(v, Quantity):
-        return _QUANTITY_TYPE
-    return None
+QUANTITY = Named("Quantity")
 
 
 def install_quantities(runtime) -> None:
     """Teach a runtime about Quantity values.
 
-    Declares the Quantity type, makes type_of recognize Quantity values,
-    and extends the `+` generic function so quantity addition dispatches
-    like any other method.
+    Declares the Quantity type, adds Quantity to the runtime's value
+    kinds (other runtimes keep rejecting Quantity values), and extends
+    the `+` generic function so quantity addition dispatches like any
+    other method.
     """
-    global _probe_installed
-    from .dispatch import MethodSignature
-    from .values import register_value_probe, _QUANTITY_TYPE
-
     if not runtime.types.declared("Quantity"):
         runtime.types.declare("Quantity", "Any")
-    if not _probe_installed:
-        register_value_probe(_quantity_probe)
-        _probe_installed = True
-    qt = _QUANTITY_TYPE
-    runtime.functions.define(
-        "+", MethodSignature((qt, qt)), qadd,
-        transfer=lambda args, ctx: qt)
-    runtime.functions.define(
-        "qmul", MethodSignature((qt, qt)), qmul,
-        transfer=lambda args, ctx: qt)
+    runtime.functions.kinds[Quantity] = QUANTITY
+    sig = MethodSignature((QUANTITY, QUANTITY))
+    runtime.functions.define("+", sig, qadd, transfer=lambda args, ctx: QUANTITY)
+    runtime.functions.define("qmul", sig, qmul, transfer=lambda args, ctx: QUANTITY)

@@ -4,14 +4,19 @@ Every value the evaluator can produce has exactly one concrete type:
 ints are Int, floats are Float, strings are String, ranges are Range,
 arrays are IntArray. Shape values and plain tuples both map to the
 tuple type of their elements; Shape stays a distinct value kind only so
-the array layer can recognize index results. Host extensions (the
-quantity arithmetic layer) register a probe here rather than patching
-type_of.
+the array layer can recognize index results.
+
+The kinds a value may have are a map from host class to type.
+HOST_KINDS is the read-only default; each FunctionTable holds its own
+copy, so a host extension (the quantity layer) adds its class to one
+runtime's kinds and no other runtime sees it. A class's entry must not
+change once set: dispatch memos key on the class.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from types import MappingProxyType
+from typing import Mapping
 
 from .lattice import Named, TypeExpr, make_tuple
 from .ndarray import NdArray, Range, Shape
@@ -25,9 +30,9 @@ __all__ = [
     "RANGE",
     "INT_ARRAY",
     "SHAPE",
+    "HOST_KINDS",
     "type_of",
     "render_value",
-    "register_value_probe",
 ]
 
 INT = Named("Int")
@@ -38,42 +43,25 @@ STRING = Named("String")
 RANGE = Named("Range")
 INT_ARRAY = Named("IntArray")
 SHAPE = Named("Shape")
-_QUANTITY_TYPE = Named("Quantity")
 
-# the value kinds whose type follows from their exact class alone
-_HOST_TYPES = {int: INT, float: FLOAT, str: STRING, Range: RANGE, NdArray: INT_ARRAY}
-
-_probes: list[Callable[[object], TypeExpr | None]] = []
-
-
-def register_value_probe(probe: Callable[[object], TypeExpr | None]) -> None:
-    """Add a classifier consulted before the built-in value kinds."""
-    _probes.append(probe)
+# the value kinds whose type follows from their class; subclasses of these
+# classes (but not of bool, which is no runtime value) take the same type
+HOST_KINDS: Mapping[type, TypeExpr] = MappingProxyType(
+    {int: INT, float: FLOAT, str: STRING, Range: RANGE, NdArray: INT_ARRAY})
 
 
-def type_of(v) -> TypeExpr:
-    for probe in _probes:
-        t = probe(v)
-        if t is not None:
-            return t
-    t = _HOST_TYPES.get(type(v))
+def type_of(v, kinds: Mapping[type, TypeExpr] = HOST_KINDS) -> TypeExpr:
+    t = kinds.get(type(v))
     if t is not None:
         return t
     if isinstance(v, bool):
         raise TypeError("booleans are not runtime values")
-    if isinstance(v, int):
-        return INT
-    if isinstance(v, float):
-        return FLOAT
-    if isinstance(v, str):
-        return STRING
     # Shape is a tuple subclass; its type is the tuple type of its elements
     if isinstance(v, tuple):
-        return make_tuple(tuple(type_of(x) for x in v))
-    if isinstance(v, Range):
-        return RANGE
-    if isinstance(v, NdArray):
-        return INT_ARRAY
+        return make_tuple(tuple(type_of(x, kinds) for x in v))
+    for cls, t in kinds.items():
+        if isinstance(v, cls):
+            return t
     raise TypeError(f"value of unknown kind: {v!r}")
 
 

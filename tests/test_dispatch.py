@@ -6,7 +6,6 @@ import random
 
 import pytest
 
-import dispatchkit.values as values
 from dispatchkit.dispatch import (
     AmbiguityError,
     DefinitionError,
@@ -281,7 +280,7 @@ class TestHostClassMemo:
 
     @pytest.fixture
     def gf(self, table):
-        gf = GenericFunction("f", table)
+        gf = FunctionTable(table).function("f")
         gf.define(signature(INT, ANY), lambda a, b: "int-any")
         gf.define(signature(ANY, INT), lambda a, b: "any-int")
         gf.define(signature(REAL, REAL), lambda a, b: "real-real")
@@ -299,16 +298,16 @@ class TestHostClassMemo:
         except (DispatchError, TypeError) as err:
             return type(err)
 
-    def arg_lists(self, seed=1407):
+    def arg_lists(self, values, seed=1407):
         rng = random.Random(seed)
-        return [tuple(rng.choice(self.VALUES) for _ in range(rng.randrange(4)))
+        return [tuple(rng.choice(values) for _ in range(rng.randrange(4)))
                 for _ in range(400)]
 
-    def check(self, gf):
-        lists = self.arg_lists()
+    def check(self, gf, extra=()):
+        lists = self.arg_lists(self.VALUES + list(extra))
         for args in lists + lists:  # the second round reads a warm memo
-            want = self.outcome(
-                lambda: gf._select_uncached(make_tuple(tuple(map(type_of, args)))))
+            want = self.outcome(lambda: gf._select_uncached(
+                make_tuple(tuple(type_of(a, gf.kinds) for a in args))))
             assert self.outcome(lambda: gf.method_for_args(args)) is want, args
 
     def test_warm(self, gf):
@@ -327,11 +326,20 @@ class TestHostClassMemo:
         assert gf.method_for_args((1, 2)).fn(1, 2) == "int-int"
         self.check(gf)
 
-    def test_value_probe(self, gf, monkeypatch):
-        self.check(gf)  # leave class keys in the memo
-        # a probe that types one int value differently from the others, so
-        # no memo keyed on the int class can answer for both
-        zero_is_string = lambda v: STRING if type(v) is int and v == 0 else None
-        monkeypatch.setattr(values, "_probes", [zero_is_string])
-        assert gf.method_for_args((0,)).fn("") == "string"
-        self.check(gf)
+    def test_value_probe(self, gf):
+        """A value kind registered after the memo is warm, and an instance
+        of its subclass, which only the isinstance fallback types."""
+        class Tag:
+            pass
+
+        class SubTag(Tag):
+            pass
+
+        self.check(gf, [Tag(), SubTag()])  # leave class keys in the memo
+        with pytest.raises(TypeError, match="value of unknown kind"):
+            gf.method_for_args((Tag(),))
+        gf.kinds[Tag] = STRING
+        assert gf.method_for_args((Tag(),)).fn("") == "string"
+        assert gf.method_for_args((SubTag(),)).fn("") == "string"
+        assert (Tag,) in gf._cache and (SubTag,) not in gf._cache
+        self.check(gf, [Tag(), SubTag()])

@@ -6,10 +6,10 @@ import random
 
 import pytest
 
-from dispatchkit.indexing import get_rule, getindex, index_shape, rule_names
+from dispatchkit.indexing import getindex, index_shape, rule_names
 from dispatchkit.minilang import MethodDef, parse
 from dispatchkit.ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, iota
-from dispatchkit.preludes import UnknownRuleError
+from dispatchkit.preludes import UnknownRuleError, prelude_source
 from dispatchkit.runtime import Runtime
 
 from oracles import getindex_oracle, index_shape_oracle
@@ -98,17 +98,15 @@ class TestRuleSets:
         assert rule_names() == ("trailing-drop", "all-drop", "apl", "drop-size1")
 
     def test_get_rule(self):
-        r = get_rule("apl")
-        assert r.name == "apl"
-        assert "index_shape" in r.source
+        assert "index_shape" in prelude_source("apl")
 
     def test_unknown(self):
         with pytest.raises(UnknownRuleError):
-            get_rule("nope")
+            prelude_source("nope")
 
     def test_swapping_rules_changes_only_index_shape_defs(self):
         for rule in rule_names():
-            prog = parse(get_rule(rule).source)
+            prog = parse(prelude_source(rule))
             for item in prog.items:
                 assert isinstance(item, MethodDef)
                 assert item.fname in ("index_shape", "keep_shape")

@@ -14,8 +14,6 @@ from dispatchkit.ndarray import (
     Shape,
     from_text,
     iota,
-    length,
-    size,
     to_text,
     zeros,
 )
@@ -133,25 +131,6 @@ class TestShape:
             Shape((True,))
         with pytest.raises(ValueError):
             Shape((1.5,))
-
-
-class TestIndexMeasures:
-    def test_length(self):
-        assert length(7) == 1
-        assert length(2.0) == 1
-        assert length(Range(1, 5)) == 5
-        assert length(iota((2, 2))) == 4
-
-    def test_size(self):
-        assert size(7) == Shape(())
-        assert size(Range(1, 5)) == Shape((5,))
-        assert size(iota((2, 2))) == Shape((2, 2))
-
-    def test_rejects_non_indexes(self):
-        with pytest.raises(TypeError):
-            length("x")
-        with pytest.raises(TypeError):
-            size(True)
 
 
 class TestTextIO:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from dispatchkit.dispatch import NoMethodError
 from dispatchkit.lattice import make_tuple
 from dispatchkit.ndarray import Range, Shape, iota
 from dispatchkit.preludes import UnknownRuleError, prelude_source
@@ -28,11 +29,15 @@ class TestNatives:
         assert rt.run("length(2.5)") == [1]
         assert rt.run("length(1:5)") == [5]
         assert rt.call("length", iota((2, 3))) == 6
+        with pytest.raises(NoMethodError):
+            rt.call("length", "x")
 
     def test_size(self, rt):
         assert rt.run("size(7)") == [Shape(())]
         assert rt.run("size(1:5)") == [Shape((5,))]
         assert rt.call("size", iota((2, 3))) == Shape((2, 3))
+        with pytest.raises(TypeError, match="booleans"):
+            rt.call("size", True)
 
     def test_plus(self, rt):
         v = rt.run("1 + 2")[0]

@@ -12,6 +12,7 @@ from dispatchkit.units import (
     DIMENSIONLESS,
     LENGTH,
     MASS,
+    QUANTITY,
     TEMPERATURE,
     TIME,
     Dimension,
@@ -143,18 +144,37 @@ class TestDispatchIntegration:
         from dispatchkit.values import type_of
         rt = Runtime()
         install_quantities(rt)
-        t = type_of(Quantity(1, LENGTH))
-        assert t.name == "Quantity"
+        q = Quantity(1, LENGTH)
+        assert type_of(q, rt.functions.kinds) == QUANTITY
         assert rt.types.declared("Quantity")
+        with pytest.raises(TypeError, match="value of unknown kind"):
+            type_of(q)
+
+    def test_other_runtimes_do_not_see_quantities(self):
+        from dispatchkit.runtime import Runtime
+
+        def error_of(rt, v):
+            with pytest.raises(Exception) as exc:
+                rt.call("+", v, v)
+            return type(exc.value), str(exc.value).split(":")[0]
+
+        a = Runtime()
+        install_quantities(a)
+        b = Runtime()
+        assert error_of(b, Quantity(1, LENGTH)) == error_of(b, object()) \
+            == (TypeError, "value of unknown kind")
+        assert b.call("+", 1, 2) == 3
+        assert (int, int) in b.functions.lookup("+")._cache
+        assert a.call("+", Quantity(1, LENGTH), Quantity(2, LENGTH)) \
+            == Quantity(3, LENGTH)
 
     def test_inference_sees_quantity(self):
         from dispatchkit.inference import infer_call_type
         from dispatchkit.lattice import make_tuple
         from dispatchkit.runtime import Runtime
-        from dispatchkit.values import _QUANTITY_TYPE
         rt = Runtime()
         install_quantities(rt)
-        qt = _QUANTITY_TYPE
+        qt = QUANTITY
         t, m = infer_call_type(rt.functions, "+", make_tuple((qt, qt)))
         assert t == qt
         assert m is not None

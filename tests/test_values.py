@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import pytest
 
-import dispatchkit.values as values
-from dispatchkit.lattice import Named, TupleType, make_tuple
+from dispatchkit.lattice import TupleType, make_tuple
 from dispatchkit.ndarray import NdArray, Range, Shape, iota
 from dispatchkit.values import (
     FLOAT,
+    HOST_KINDS,
     INT,
     INT_ARRAY,
     RANGE,
     STRING,
-    register_value_probe,
     render_value,
     type_of,
 )
@@ -53,19 +52,37 @@ def test_unknown_kind_rejected():
         type_of(object())
 
 
+def test_subclasses_take_their_base_kind():
+    class Count(int):
+        pass
+
+    class Label(str):
+        pass
+
+    assert type_of(Count(3)) == INT
+    assert type_of((Label("a"), Count(1))) == make_tuple((STRING, INT))
+
+
 def test_probe_registration():
+    """A kind added to a copy of HOST_KINDS types values there only."""
     class Tagged:
         pass
 
-    saved = list(values._probes)
-    try:
-        register_value_probe(
-            lambda v: Named("Int") if isinstance(v, Tagged) else None
-        )
-        assert type_of(Tagged()) == INT
-        assert type_of(4) == INT
-    finally:
-        values._probes[:] = saved
+    class SubTagged(Tagged):
+        pass
+
+    kinds = dict(HOST_KINDS)
+    kinds[Tagged] = RANGE
+    assert type_of(Tagged(), kinds) == RANGE
+    assert type_of(SubTagged(), kinds) == RANGE
+    assert type_of((Tagged(), 4), kinds) == make_tuple((RANGE, INT))
+    assert type_of(4, kinds) == INT
+    with pytest.raises(TypeError, match="booleans"):
+        type_of(True, kinds)
+    with pytest.raises(TypeError, match="value of unknown kind"):
+        type_of(Tagged())
+    with pytest.raises(TypeError):
+        HOST_KINDS[Tagged] = RANGE  # the default is read-only
 
 
 class TestRender:
