@@ -13,7 +13,9 @@ still being computed contributes its provisional result (starting at
 Bottom, the empty type); the root of such a cycle recomputes until its
 result stops ascending. Frames finished against provisional inputs are
 discarded afterwards and recomputed on demand, which keeps memoized
-results honest.
+results honest. Which methods survive for a given (function, argument
+tuple type) does not change during a run, so that screening is done once
+per pair and remembered by the state.
 
 Termination is forced rather than hoped for: every tuple type built
 during inference is widened to a bounded number of fixed slots, a
@@ -139,6 +141,10 @@ class InferenceState:
         self.per_gf_instances: dict[str, int] = {}
         self.instantiations = 0
         self.sites: dict[int, tuple] = {}       # id(node) -> (node, records)
+        # (gf, arg type) -> _screen's answer; methods cannot change while
+        # one state runs, so the memo needs no invalidation
+        self.screened: dict[tuple, tuple] = {}
+        self.provisional: list[tuple] = []      # keys of _PROVISIONAL frames
 
     # ---------------------------------------------------------- helpers
 
@@ -234,36 +240,44 @@ class InferenceState:
         if not isinstance(arg_type, TupleType):
             return ANY, None
         arg_type = self._accelerate(gf, arg_type)
-        potential = []
-        narrowed = []
-        for m in gf.methods:
-            nt = meet(arg_type, m.sig_tuple, self.types)
-            if nt is not Bottom:
-                potential.append(m)
-                narrowed.append(nt)
-        if not potential:
+        key = (gf, arg_type)
+        screen = self.screened.get(key)
+        if screen is None:
+            screen = self.screened[key] = self._screen(gf, arg_type)
+        survivors, static = screen
+        if survivors is None:
             return Bottom, None
-        covering = [m for m in potential
-                    if subtype(arg_type, m.sig_tuple, self.types)]
-        survivors = []
-        surv_narrowed = []
-        for m, nt in zip(potential, narrowed):
-            dominated = any(
-                o is not m and more_specific(o.signature, m.signature, self.types)
-                for o in covering
-            )
-            if not dominated:
-                survivors.append(m)
-                surv_narrowed.append(nt)
         if self._over_budget(gf):
             return ANY, None
         result = Bottom
-        for m, nt in zip(survivors, surv_narrowed):
+        for m, nt in survivors:
             result = join(result, self._infer_instance(gf, m, nt), self.types)
-        static = None
-        if len(survivors) == 1 and survivors[0] in covering:
-            static = survivors[0]
         return result, static
+
+    def _screen(self, gf: GenericFunction, arg_type: TupleType):
+        """The methods that could win a call of `gf` on `arg_type`, each
+        with its narrowed argument type, and the static winner if one
+        method covers the whole argument type. Survivors are None when no
+        method overlaps the argument type at all."""
+        potential = []
+        for m in gf.methods:
+            nt = meet(arg_type, m.sig_tuple, self.types)
+            if nt is not Bottom:
+                potential.append((m, nt))
+        if not potential:
+            return None, None
+        covering = [m for m, _ in potential
+                    if subtype(arg_type, m.sig_tuple, self.types)]
+        survivors = tuple(
+            (m, nt) for m, nt in potential
+            if not any(o is not m and more_specific(o.signature, m.signature,
+                                                    self.types)
+                       for o in covering)
+        )
+        static = None
+        if len(survivors) == 1 and survivors[0][0] in covering:
+            static = survivors[0][0]
+        return survivors, static
 
     def _accelerate(self, gf: GenericFunction, t: TupleType) -> TupleType:
         """Self-recursion with a longer tuple gets widened down to the
@@ -321,6 +335,7 @@ class InferenceState:
             self.stack.pop()
         if fr.lowlink < fr.index:
             fr.state = _PROVISIONAL
+            self.provisional.append(key)
             if self.stack:
                 self.stack[-1].lowlink = min(self.stack[-1].lowlink, fr.lowlink)
         else:
@@ -329,10 +344,9 @@ class InferenceState:
         return fr.result
 
     def _reset_provisionals(self):
-        stale = [k for k, f in self.frames.items()
-                 if f.state == _PROVISIONAL]
-        for k in stale:
+        for k in self.provisional:
             del self.frames[k]
+        self.provisional.clear()
 
     def _run_body(self, gf: GenericFunction, m: Method,
                   narrowed: TupleType) -> TypeExpr:

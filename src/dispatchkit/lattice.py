@@ -313,6 +313,8 @@ def join(a: TypeExpr, b: TypeExpr, table: TypeTable) -> TypeExpr:
         return b
     if b is Bottom:
         return a
+    if a == b:
+        return a  # join is idempotent
     if isinstance(a, Named) and isinstance(b, Named):
         return table.named(table.lca(a.name, b.name))
     if isinstance(a, TupleType) and isinstance(b, TupleType):

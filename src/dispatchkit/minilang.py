@@ -339,7 +339,14 @@ class _Parser:
 
 
 def parse(source: str) -> Program:
-    return _Parser(_lex(source)).program()
+    parser = _Parser(_lex(source))
+    try:
+        return parser.program()
+    except RecursionError:
+        # nesting deep enough to exhaust the Python stack is reported at
+        # the token the parser had reached
+        _, _, line, col = parser.toks[parser.pos]
+        raise ParseError("expression nested too deeply", line, col) from None
 
 
 # -------------------------------------------------------------- printer

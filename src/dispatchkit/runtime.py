@@ -106,7 +106,10 @@ class Evaluator:
             if isinstance(item, MethodDef):
                 self.define(item)
             else:
-                trace.append(self.eval(item, {}))
+                try:
+                    trace.append(self.eval(item, {}))
+                except RecursionError:
+                    raise EvalError("call depth exceeded", item.loc) from None
         return trace
 
     def eval(self, e, env: dict):
@@ -261,6 +264,9 @@ class Runtime:
 
     def run(self, source: str, observer=None) -> list:
         """Parse, define, and evaluate; returns the value trace.
+
+        A top-level expression whose calls exhaust the Python stack raises
+        EvalError located at that expression.
 
         The observer, when given, sees every call made while this source
         runs, including calls inside previously defined method bodies.

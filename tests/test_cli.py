@@ -199,6 +199,37 @@ class TestViewDemo:
         assert [r["shape"] for r in rows if r["view"] == "A[2, :, :]"] == [plane_shape]
 
 
+class TestDeepRecursion:
+    """Exhausting the Python stack is a located error, not a traceback."""
+
+    def test_runaway_recursion_exit_1(self, tmp_path, capsys):
+        f = _write(tmp_path, "g.mjl", "g(r...) = g(1, r...)\n1 + 1\ng()\n")
+        assert main(["run", f]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == \
+            "error: line 3, column 1: call depth exceeded"
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "infer"])
+    def test_deep_nesting_exit_2(self, tmp_path, capsys, command):
+        depth = 3000
+        f = _write(tmp_path, "deep.mjl",
+                   "f(x) = x\n" + "f(" * depth + "1" + ")" * depth + "\n")
+        assert main([command, f]) == 2
+        err = capsys.readouterr().err
+        first = err.splitlines()[0]
+        assert first.startswith("syntax error: line 2, column ")
+        assert ": expression nested too deeply" in first
+        assert "Traceback" not in err
+
+
+class TestParserReuse:
+    def test_main_reuses_one_parser(self):
+        from dispatchkit.cli import _parser, build_parser
+        assert _parser() is _parser()
+        assert build_parser() is not build_parser()
+
+
 class TestFlags:
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["run", "x.mjl", "--bogus"]) == 2

@@ -8,7 +8,9 @@ must have dispatched to exactly the predicted method.
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -240,6 +242,38 @@ class TestProgramReports:
             assert ":" in head and kind in ("STATIC", "DYNAMIC")
 
 
+class TestScreeningMemo:
+    def test_each_function_and_argument_type_screened_once(self):
+        rt = _rt()
+        calls = ["h(1)", "h(2)", "h(3.5)", "h(4)", "h(0.5)"] * 6
+        prog = rt.load_definitions(
+            "h(x::Real) = x + 1\n" + "\n".join(calls) + "\n")
+        state = InferenceState(rt.functions, rt.widen_max_fixed)
+        screens = []
+        screen = state._screen
+
+        def counting(gf, arg_type):
+            screens.append(gf.name)
+            return screen(gf, arg_type)
+
+        state._screen = counting
+        for item in prog.items[1:]:
+            state.infer_expr(item, {})
+        # 30 sites of h, but only h on (Int) and (Float), then + on
+        # (Int, Int) and (Float, Int)
+        assert len(state.screened) == 4 < len(calls)
+        assert sorted(screens) == ["+", "+", "h", "h"]
+
+    def test_memo_does_not_outlive_a_run(self):
+        rt = _rt()
+        prog = rt.load_definitions("k(x::Real) = 1\nk(2)\n")
+        first = infer_program(rt.functions, prog.items, rt.widen_max_fixed)
+        assert first.render_lines() == ["2:1 STATIC k#1 Int"]
+        rt.load_definitions("k(x::Int) = 2.5\n")
+        again = infer_program(rt.functions, prog.items, rt.widen_max_fixed)
+        assert again.render_lines() == ["2:1 STATIC k#2 Float"]
+
+
 class TestTermination:
     def test_self_growing_variadic(self):
         rt = _rt()
@@ -445,3 +479,37 @@ def test_inference_soundness_fuzz(block):
     for i in range(50):
         observed += _check_soundness(52000 + block * 50 + i)
     assert observed > 0
+
+
+# ------------------------------------------------------------ golden file
+
+# The golden file records what infer_program reported, before the
+# screening memo, for seeded programs from the fuzz generator above:
+# the report lines, the instantiation count and every top-level
+# expression type. Any change to inference that is meant to be exact
+# must reproduce it entry for entry.
+INFER_GOLDEN = Path(__file__).parent / "data" / "infer_golden.json"
+
+
+def golden_programs(n=300, seed=20261018):
+    rng = random.Random(seed)
+    return [_gen_program(rng) for _ in range(n)]
+
+
+def infer_outcome(source: str) -> dict:
+    report = _program_report(_rt(), source)
+    return {
+        "lines": report.render_lines(),
+        "instantiations": report.instantiations,
+        "expr_types": [render_type(t) for t in report.expr_types],
+    }
+
+
+class TestInferGolden:
+    def test_sources_are_the_recorded_ones(self):
+        recorded = json.loads(INFER_GOLDEN.read_text())
+        assert [r["source"] for r in recorded] == golden_programs()
+
+    def test_matches_the_recorded_report(self):
+        for r in json.loads(INFER_GOLDEN.read_text()):
+            assert infer_outcome(r["source"]) == r["report"], r["source"]

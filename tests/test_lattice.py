@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -186,6 +187,13 @@ class TestJoin:
     def test_idempotent(self, table, universe):
         for t in universe:
             assert join(t, t, table) == t
+
+    def test_equal_inputs_return_the_first(self, table, universe):
+        for t in universe:
+            twin = copy.deepcopy(t)
+            assert twin == t
+            assert join(t, twin, table) is t
+            assert join(twin, t, table) is twin
 
 
 class TestMeet:
