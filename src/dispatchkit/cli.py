@@ -12,7 +12,6 @@ corpus format, bad flags).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 from pathlib import Path
@@ -81,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_view.set_defaults(fn=_cmd_view_demo)
 
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """One parser per process, reused by every call of `main`."""
-    return build_parser()
 
 
 def _read(path: str) -> str:
@@ -185,8 +178,9 @@ def _cmd_view_demo(args) -> int:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

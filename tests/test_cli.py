@@ -223,13 +223,6 @@ class TestDeepRecursion:
         assert "Traceback" not in err
 
 
-class TestParserReuse:
-    def test_main_reuses_one_parser(self):
-        from dispatchkit.cli import _parser, build_parser
-        assert _parser() is _parser()
-        assert build_parser() is not build_parser()
-
-
 class TestFlags:
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["run", "x.mjl", "--bogus"]) == 2
