@@ -45,11 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def count(text: str) -> int:
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+        return n
+
     def common(p):
         p.add_argument("--index-rule", choices=RULE_NAMES,
                        default="trailing-drop",
                        help="index_shape rule set (default: trailing-drop)")
-        p.add_argument("--widen-max-fixed", type=int, default=8,
+        p.add_argument("--widen-max-fixed", type=count, default=8,
                        metavar="N",
                        help="tuple widening threshold for inference "
                             "(default: 8)")

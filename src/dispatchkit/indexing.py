@@ -8,14 +8,14 @@ else, which is the point of the design. Views ask the same
 `index_shape` for their shape, and getindex copies elements with
 `ndarray.gather`, the one copy loop that `views.to_array` also uses.
 
-Each rule set gets one lazily built Runtime, shared by all callers.
+The methods called are those of the rule's frozen `base_functions`.
 """
 
 from __future__ import annotations
 
 from .ndarray import BoundsError, IndexArg, NdArray, Range, RankMismatchError, Shape, gather
 from .preludes import RULE_NAMES
-from .runtime import Runtime
+from .runtime import EvalError, base_functions
 
 __all__ = [
     "rule_names",
@@ -28,20 +28,13 @@ def rule_names() -> tuple[str, ...]:
     return RULE_NAMES
 
 
-_runtimes: dict[str, Runtime] = {}
-
-
-def _runtime_for(rule: str) -> Runtime:
-    rt = _runtimes.get(rule)
-    if rt is None:
-        rt = _runtimes[rule] = Runtime(index_rule=rule)
-    return rt
-
-
 def index_shape(rule: str, indices) -> Shape:
-    """Result shape for an index list, per the rule's minilang methods."""
-    result = _runtime_for(rule).call("index_shape", *indices)
-    return result if isinstance(result, Shape) else Shape(result)
+    """Result shape for an index list, per the rule's minilang methods;
+    EvalError when the list is too long for the Python stack."""
+    try:
+        return base_functions(rule).lookup("index_shape")(*indices)
+    except RecursionError:
+        raise EvalError("call depth exceeded") from None
 
 
 def _elements(idx: IndexArg, dim: int) -> list[int]:

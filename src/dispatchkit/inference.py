@@ -60,7 +60,7 @@ __all__ = [
     "infer_program",
 ]
 
-_FRESH, _ACTIVE, _PROVISIONAL, _DONE = range(4)
+_ACTIVE, _PROVISIONAL, _DONE = range(3)
 
 _ITERATION_CAP = 100
 
@@ -75,11 +75,11 @@ class _Frame:
 
 
 @dataclass
-class _SiteRecord:
-    arg_type: TypeExpr
-    static_method: Optional[Method]
-    result: TypeExpr
-    splice_elidable: bool
+class _Verdict:
+    """What every analysis of one call site saw, folded as it arrives."""
+    labels: set = field(default_factory=set)   # static method label or None
+    result: TypeExpr = Bottom
+    splice_elidable: bool = True
 
 
 @dataclass
@@ -131,6 +131,8 @@ def splice_types(t: TypeExpr):
 class InferenceState:
     def __init__(self, functions: FunctionTable, widen_max_fixed: int = 8,
                  instantiation_budget: int = 64):
+        if widen_max_fixed < 0:
+            raise ValueError(f"widen_max_fixed must not be negative: {widen_max_fixed}")
         self.functions = functions
         self.types = functions.types
         self.max_fixed = widen_max_fixed
@@ -140,7 +142,7 @@ class InferenceState:
         self.active_args: list[tuple] = []  # (gf name, arg TupleType)
         self.per_gf_instances: dict[str, int] = {}
         self.instantiations = 0
-        self.sites: dict[int, tuple] = {}       # id(node) -> (node, records)
+        self.sites: dict[int, _Verdict] = {}    # id(node) -> its verdict
         # (gf, arg type) -> _screen's answer; methods cannot change while
         # one state runs, so the memo needs no invalidation
         self.screened: dict[tuple, tuple] = {}
@@ -153,18 +155,12 @@ class InferenceState:
             return widen(t, self.max_fixed, self.types)
         return t
 
-    def register_site(self, node: Call):
-        self.sites.setdefault(id(node), (node, []))
-
-    def _record_site(self, node: Optional[Call], arg_type, static_method,
-                     result, splice_elidable):
-        if node is None:
-            return
-        entry = self.sites.get(id(node))
-        if entry is None:
-            return
-        entry[1].append(_SiteRecord(arg_type, static_method, result,
-                                    splice_elidable))
+    def _record_site(self, node: Call, static_method, result, splice_elidable):
+        v = self.sites.get(id(node))
+        if v is not None:  # a call in a body outside the analyzed items
+            v.labels.add(static_method.label if static_method else None)
+            v.result = join(v.result, result, self.types)
+            v.splice_elidable = v.splice_elidable and splice_elidable
 
     # ------------------------------------------------------- expressions
 
@@ -220,15 +216,15 @@ class InferenceState:
                 else:
                     tail = join(tail, t, self.types)
         if dead:
-            self._record_site(node, Bottom, None, Bottom, elidable)
+            self._record_site(node, None, Bottom, elidable)
             return Bottom
         arg_type = self._widen(make_tuple(tuple(fixed), tail))
         gf = self.functions.lookup(node.fname)
         if gf is None or arg_type is Bottom:
-            self._record_site(node, arg_type, None, Bottom, elidable)
+            self._record_site(node, None, Bottom, elidable)
             return Bottom
         result, static_method = self.infer_call(gf, arg_type)
-        self._record_site(node, arg_type, static_method, result, elidable)
+        self._record_site(node, static_method, result, elidable)
         return result
 
     # ------------------------------------------------------------- calls
@@ -406,29 +402,18 @@ def infer_program(functions: FunctionTable, items,
     for item in items:
         body = item.body if isinstance(item, MethodDef) else item
         _walk_calls(body, nodes)
-    for n in nodes:
-        state.register_site(n)
+    state.sites = {id(n): _Verdict() for n in nodes}
     expr_types = []
     for item in items:
         if not isinstance(item, MethodDef):
             expr_types.append(state.infer_expr(item, {}))
-    sites = []
     by_node = {}
     for n in nodes:
-        _, records = state.sites[id(n)]
-        if not records:
-            sr = SiteReport(n.loc, n.fname, False, None, Bottom)
-        else:
-            labels = {r.static_method.label if r.static_method else None
-                      for r in records}
-            static = len(labels) == 1 and None not in labels
-            label = labels.pop() if static else None
-            result = Bottom
-            for r in records:
-                result = join(result, r.result, functions.types)
-            elidable = all(r.splice_elidable for r in records)
-            sr = SiteReport(n.loc, n.fname, static, label, result, elidable)
-        sites.append(sr)
-        by_node[id(n)] = sr
-    sites.sort(key=lambda s: s.loc)
+        v = state.sites[id(n)]
+        static = len(v.labels) == 1 and None not in v.labels
+        label = next(iter(v.labels)) if static else None
+        # a site never reached has no labels: DYNAMIC, Bottom, not elidable
+        by_node[id(n)] = SiteReport(n.loc, n.fname, static, label, v.result,
+                                    bool(v.labels) and v.splice_elidable)
+    sites = sorted(by_node.values(), key=lambda s: s.loc)
     return InferenceReport(sites, expr_types, state.instantiations, by_node)

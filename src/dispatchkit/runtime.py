@@ -1,11 +1,11 @@
 """Evaluator and base environment for minilang programs.
 
-A Runtime owns a type table, a function table preloaded with the native
-prelude (tuple, length, size, +, error, sum, droptrail1) and one of the
-packaged indexing rule sets. Programs are loaded incrementally; their
-definitions extend the function table and their top-level expressions
-evaluate through the dispatch engine, so every call in a trace went
-through the same method selection as `select`.
+A Runtime owns a type table and a function table filled from the frozen
+base of its indexing rule: the natives (tuple, length, size, +, error,
+sum, droptrail1) and the rule's prelude methods. Programs load
+incrementally; their definitions extend the function table and their
+top-level expressions evaluate through the dispatch engine, so every
+call in a trace went through the same method selection as `select`.
 
 Native methods carry a transfer annotation: the result type as a
 function of the (already narrowed) argument tuple type. The inference
@@ -14,6 +14,7 @@ engine consults it where a minilang body would otherwise be walked.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Optional
 
 from .dispatch import DispatchError, FunctionTable, MethodSignature, dispatch_call
@@ -23,7 +24,7 @@ from .ndarray import NdArray, Range, Shape
 from .preludes import prelude_source
 from .values import FLOAT, INT, INTEGER, INT_ARRAY, RANGE, REAL, STRING
 
-__all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "install_prelude"]
+__all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "base_functions"]
 
 
 class LangError(Exception):
@@ -190,8 +191,11 @@ def _droptrail1(t: tuple) -> tuple:
     return tuple(t[:k])
 
 
-def install_prelude(ft: FunctionTable) -> None:
-    """Register the native generic functions and their transfer rules."""
+@functools.cache
+def base_functions(rule: str) -> FunctionTable:
+    """The natives and `rule`'s prelude methods in one table, built once
+    per process and frozen; `indexing.index_shape` dispatches on it."""
+    ft = FunctionTable(TypeTable.prelude())
     sig = MethodSignature
     int_tuple = make_tuple((), INT)
     empty = make_tuple(())
@@ -229,28 +233,34 @@ def install_prelude(ft: FunctionTable) -> None:
 
     def droptrail1_transfer(args: TupleType, ctx):
         inner = args.fixed[0] if args.fixed else int_tuple
-        if inner == empty:
-            return empty
-        return int_tuple
+        return empty if inner == empty else int_tuple
 
     ft.define("droptrail1", sig((int_tuple,)), _droptrail1,
               transfer=droptrail1_transfer)
+
+    Evaluator(ft).run_items(parse(prelude_source(rule)))
+    ft.freeze()
+    return ft
 
 
 class Runtime:
     """One loaded program: types, functions, active indexing rule."""
 
     def __init__(self, index_rule: str = "trailing-drop",
-                 widen_max_fixed: int = 8, base: bool = True):
+                 widen_max_fixed: int = 8):
         self.types = TypeTable.prelude()
         self.functions = FunctionTable(self.types)
         self.index_rule = index_rule
         self.widen_max_fixed = widen_max_fixed
         self.items: list = []
         self._evaluator = Evaluator(self.functions)
-        if base:
-            install_prelude(self.functions)
-            self.load_definitions(prelude_source(index_rule))
+        # share natives; re-define prelude bodies to call through this table
+        for base in base_functions(index_rule):
+            for m in base.methods:
+                if m.body is None:
+                    self.functions.function(m.fname).methods.append(m)
+                else:
+                    self._evaluator.define(m.body)
 
     def load_definitions(self, source: str) -> Program:
         """Parse and define methods; top-level expressions are kept,
@@ -285,7 +295,10 @@ class Runtime:
         gf = self.functions.lookup(name)
         if gf is None:
             raise EvalError(f"unknown function {name}")
-        return dispatch_call(gf, args)
+        try:
+            return dispatch_call(gf, args)
+        except RecursionError:
+            raise EvalError("call depth exceeded") from None
 
     def expressions(self) -> list:
         return [it for it in self.items if not isinstance(it, MethodDef)]

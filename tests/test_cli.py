@@ -231,6 +231,21 @@ class TestFlags:
         f = _write(tmp_path, "p.mjl", "1 + 1\n")
         assert main(["run", f, "--index-rule", "nope"]) == 2
 
+    @pytest.mark.parametrize("value", ["-1", "-8"])
+    def test_negative_widen_threshold_exit_2(self, tmp_path, capsys, value):
+        f = _write(tmp_path, "p.mjl", "f(x) = x\nf(x, r...) = f(r...)\nf(1, 2, 3)\n")
+        assert main(["infer", f, "--widen-max-fixed", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "usage:" in captured.err
+        assert "argument --widen-max-fixed: must not be negative" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_zero_widen_threshold_accepted(self, tmp_path, capsys):
+        f = _write(tmp_path, "p.mjl", "f(x) = x\nf(x, r...) = f(r...)\nf(1, 2, 3)\n")
+        assert main(["infer", f, "--widen-max-fixed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "3:1 DYNAMIC Int"
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "run" in capsys.readouterr().out

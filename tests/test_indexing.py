@@ -6,11 +6,15 @@ import random
 
 import pytest
 
+import dispatchkit.runtime as runtime
+from dispatchkit.dispatch import DefinitionError, signature
 from dispatchkit.indexing import getindex, index_shape, rule_names
 from dispatchkit.minilang import MethodDef, parse
-from dispatchkit.ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, iota
+from dispatchkit.ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, iota, zeros
 from dispatchkit.preludes import UnknownRuleError, prelude_source
-from dispatchkit.runtime import Runtime
+from dispatchkit.runtime import EvalError, Runtime
+from dispatchkit.values import RANGE
+from dispatchkit.views import view
 
 from oracles import getindex_oracle, index_shape_oracle
 
@@ -119,6 +123,45 @@ class TestRuleSets:
             a = [m.signature.render() for m in base.functions.lookup(name).methods]
             b = [m.signature.render() for m in other.functions.lookup(name).methods]
             assert a == b, name
+
+
+class TestRuleBase:
+    def test_runtime_definitions_stay_in_their_runtime(self):
+        a = Runtime()
+        a.run("index_shape(i::Range, j::Int, k::Range) = (7,)")
+        assert a.run("index_shape(1:4, 2, 1:3)") == [Shape((7,))]
+        assert Runtime().run("index_shape(1:4, 2, 1:3)") == [Shape((4, 1, 3))]
+        indices = [Range(1, 4), 2, Range(1, 3)]
+        assert index_shape("trailing-drop", indices) == Shape((4, 1, 3))
+
+    @pytest.mark.parametrize("rule", rule_names())
+    def test_base_rejects_definitions(self, rule):
+        base = runtime.base_functions(rule)
+        with pytest.raises(DefinitionError):
+            base.define("index_shape", signature(RANGE), lambda r: Shape((9,)))
+        with pytest.raises(DefinitionError):
+            base.function("fresh")
+        assert index_shape(rule, [Range(1, 4)]) == Shape((4,))
+
+
+class TestDeepIndexLists:
+    """An index list too long for the Python stack is an EvalError."""
+
+    N = 2000
+
+    @pytest.mark.parametrize("rule", rule_names())
+    def test_index_shape(self, rule):
+        with pytest.raises(EvalError, match="^call depth exceeded$"):
+            index_shape(rule, [Range(1, 1)] * self.N)
+        assert index_shape(rule, [Range(1, 2), Range(1, 3)]) == Shape((2, 3))
+
+    @pytest.mark.parametrize("rule", rule_names())
+    def test_getindex_and_view(self, rule):
+        a = zeros((1,) * self.N)
+        with pytest.raises(EvalError, match="^call depth exceeded$"):
+            getindex(a, [Range(1, 1)] * self.N, rule)
+        with pytest.raises(EvalError, match="^call depth exceeded$"):
+            view(a, [Range(1, 1)] * self.N, rule=rule)
 
 
 def _random_index(rng: random.Random, extent: int):

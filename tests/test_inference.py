@@ -274,6 +274,22 @@ class TestScreeningMemo:
         assert again.render_lines() == ["2:1 STATIC k#2 Float"]
 
 
+class TestWidenThreshold:
+    def test_negative_threshold_rejected(self):
+        rt = _rt()
+        with pytest.raises(ValueError, match="must not be negative"):
+            InferenceState(rt.functions, -1)
+        rt.load_definitions("f(x) = x\n")
+        with pytest.raises(ValueError, match="must not be negative"):
+            infer_call_type(rt.functions, "f", make_tuple((INT,)), -1)
+
+    def test_zero_threshold_is_valid(self):
+        rt = _rt()
+        prog = rt.load_definitions("f(x) = x\nf(x, r...) = f(r...)\nf(1, 2, 3)\n")
+        report = infer_program(rt.functions, prog.items, 0)
+        assert report.render_lines()[-1] == "3:1 DYNAMIC Int"
+
+
 class TestTermination:
     def test_self_growing_variadic(self):
         rt = _rt()

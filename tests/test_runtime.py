@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+import dispatchkit.runtime as runtime
 from dispatchkit.dispatch import NoMethodError
+from dispatchkit.indexing import index_shape
 from dispatchkit.lattice import make_tuple
 from dispatchkit.ndarray import Range, Shape, iota
-from dispatchkit.preludes import UnknownRuleError, prelude_source
+from dispatchkit.preludes import RULE_NAMES, UnknownRuleError, prelude_source
 from dispatchkit.runtime import EvalError, Runtime
 from dispatchkit.values import type_of
 
@@ -220,11 +222,72 @@ class TestRuntimeBookkeeping:
         assert len(prog.items) == 2
         assert len(rt.expressions()) == 1
 
-    def test_base_can_be_skipped(self):
-        rt = Runtime(base=False)
-        assert rt.functions.lookup("tuple") is None
-
     def test_base_functions_present(self, rt):
         for name in ("tuple", "length", "size", "+", "error", "sum",
                      "droptrail1", "index_shape"):
             assert rt.functions.lookup(name) is not None
+
+
+class TestFrozenBase:
+    """Each rule's natives and prelude are built once and shared."""
+
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_second_runtime_neither_reads_nor_parses(self, rule, monkeypatch):
+        Runtime(index_rule=rule)
+        calls = []
+        real_parse, real_source = runtime.parse, runtime.prelude_source
+        monkeypatch.setattr(runtime, "parse",
+                            lambda *a: calls.append("parse") or real_parse(*a))
+        monkeypatch.setattr(runtime, "prelude_source",
+                            lambda *a: calls.append("source") or real_source(*a))
+        rt = Runtime(index_rule=rule)
+        assert calls == []
+        assert rt.functions.lookup("index_shape") is not None
+
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_natives_shared_and_prelude_bodies_redefined(self, rule):
+        base = runtime.base_functions(rule)
+        assert runtime.base_functions(rule) is base
+        rt = Runtime(index_rule=rule)
+        assert rt.functions.names() == base.names()
+        for gf in base:
+            own = rt.functions.lookup(gf.name)
+            assert [m.label for m in own.methods] == [m.label for m in gf.methods]
+            for mine, shared in zip(own.methods, gf.methods):
+                assert (mine is shared) == (shared.body is None)
+
+    def test_prelude_bodies_see_this_runtimes_methods(self):
+        a = Runtime()
+        a.run("length(s::String) = 3")
+        assert a.run('index_shape("ab", 1:2)') == [Shape((3, 2))]
+        with pytest.raises(EvalError, match="no method matching length"):
+            Runtime().run('index_shape("ab", 1:2)')
+        with pytest.raises(EvalError, match="no method matching length"):
+            index_shape("trailing-drop", ["ab", Range(1, 2)])
+
+    def test_redefined_native_stays_in_its_runtime(self):
+        a = Runtime()
+        a.run("length(x::Real) = 5")
+        assert a.run("length(7)") == [5]
+        assert Runtime().run("length(7)") == [1]
+        assert index_shape("trailing-drop", [Range(1, 4), 2]) == Shape((4,))
+
+    def test_observer_sees_calls_inside_prelude_bodies(self, rt):
+        seen = []
+        rt.run("index_shape(1:4, 2, 1:3)",
+               observer=lambda e, m, a, r: seen.append(m.label))
+        assert seen == [
+            "length#2", "length#1", "length#2", "tuple#1", "index_shape#1",
+            "tuple#1", "index_shape#2", "tuple#1", "index_shape#2",
+            "tuple#1", "index_shape#2",
+        ]
+
+
+class TestCallDepth:
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_runaway_recursion_through_call(self, rule):
+        rt = Runtime(index_rule=rule)
+        rt.load_definitions("g(r...) = g(1, r...)\n")
+        with pytest.raises(EvalError, match="^call depth exceeded$"):
+            rt.call("g")
+        assert rt.call("length", 7) == 1
