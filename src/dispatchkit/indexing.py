@@ -9,11 +9,17 @@ else, which is the point of the design. Views ask the same
 `ndarray.gather`, the one copy loop that `views.to_array` also uses.
 
 The methods called are those of the rule's frozen `base_functions`.
+An index list of at most `plans.MAX_PLAN_INDEXES` indexes whose classes
+have a shape plan runs that plan: the same methods, bound ahead of time
+by inference, so the chain neither dispatches nor walks syntax trees.
+Every other list, and any list whose plan raises, takes the generic
+call, which raises the documented error.
 """
 
 from __future__ import annotations
 
 from .ndarray import BoundsError, IndexArg, NdArray, Range, RankMismatchError, Shape, gather
+from .plans import MAX_PLAN_INDEXES, shape_plan
 from .preludes import RULE_NAMES
 from .runtime import EvalError, base_functions
 
@@ -31,7 +37,15 @@ def rule_names() -> tuple[str, ...]:
 def index_shape(rule: str, indices) -> Shape:
     """Result shape for an index list, per the rule's minilang methods;
     EvalError when the list is too long for the Python stack."""
+    indices = tuple(indices)
     try:
+        if len(indices) <= MAX_PLAN_INDEXES:
+            plan = shape_plan(rule, tuple(map(type, indices)))
+            if plan is not None:
+                try:
+                    return plan(*indices)
+                except Exception:
+                    pass  # the generic call below raises the documented error
         return base_functions(rule).lookup("index_shape")(*indices)
     except RecursionError:
         raise EvalError("call depth exceeded") from None

@@ -185,6 +185,19 @@ class InferenceState:
         return ANY
 
     def _infer_call_node(self, node: Call, env: dict) -> TypeExpr:
+        arg_type, elidable = self.call_arg_type(node, env)
+        gf = self.functions.lookup(node.fname)
+        if gf is None or arg_type is Bottom:
+            self._record_site(node, None, Bottom, elidable)
+            return Bottom
+        result, static_method = self.infer_call(gf, arg_type)
+        self._record_site(node, static_method, result, elidable)
+        return result
+
+    def call_arg_type(self, node: Call, env: dict):
+        """The widened argument tuple type of a call node, Bottom when an
+        argument can produce no value, and whether its splices could be
+        elided. Arguments after a Bottom one are not inferred."""
         fixed: list = []
         tail: Optional[TypeExpr] = None
         dead = False
@@ -216,16 +229,8 @@ class InferenceState:
                 else:
                     tail = join(tail, t, self.types)
         if dead:
-            self._record_site(node, None, Bottom, elidable)
-            return Bottom
-        arg_type = self._widen(make_tuple(tuple(fixed), tail))
-        gf = self.functions.lookup(node.fname)
-        if gf is None or arg_type is Bottom:
-            self._record_site(node, None, Bottom, elidable)
-            return Bottom
-        result, static_method = self.infer_call(gf, arg_type)
-        self._record_site(node, static_method, result, elidable)
-        return result
+            return Bottom, elidable
+        return self._widen(make_tuple(tuple(fixed), tail)), elidable
 
     # ------------------------------------------------------------- calls
 
@@ -350,14 +355,16 @@ class InferenceState:
             return self._widen(m.transfer(narrowed, self))
         if m.body is None:
             return ANY
-        env = self._bind(m, narrowed)
+        env = self.bind(m, narrowed)
         self.active_args.append((gf.name, narrowed))
         try:
             return self.infer_expr(m.body.body, env)
         finally:
             self.active_args.pop()
 
-    def _bind(self, m: Method, narrowed: TupleType) -> dict:
+    def bind(self, m: Method, narrowed: TupleType) -> dict:
+        """The type of each parameter of a minilang method's body when it
+        runs on arguments of the narrowed tuple type."""
         d: MethodDef = m.body
         env = {}
         sig = m.signature

@@ -392,7 +392,10 @@ def widen(t: TypeExpr, max_fixed: int, table: TypeTable) -> TypeExpr:
     the first ``max_fixed`` and fold the rest (and any existing tail) into
     a single variadic tail equal to their join. Other types pass through.
     The result is always a supertype of ``t`` and widening is idempotent.
+    A negative ``max_fixed`` raises ValueError.
     """
+    if max_fixed < 0:
+        raise ValueError(f"max_fixed must not be negative: {max_fixed}")
     if not isinstance(t, TupleType) or len(t.fixed) <= max_fixed:
         return t
     kept = t.fixed[:max_fixed]

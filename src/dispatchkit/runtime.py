@@ -24,7 +24,8 @@ from .ndarray import NdArray, Range, Shape
 from .preludes import prelude_source
 from .values import FLOAT, INT, INTEGER, INT_ARRAY, RANGE, REAL, STRING
 
-__all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "base_functions"]
+__all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "base_functions",
+           "promote_shape"]
 
 
 class LangError(Exception):
@@ -41,6 +42,17 @@ class EvalError(Exception):
         if self.loc:
             return f"line {self.loc[0]}, column {self.loc[1]}: {self.message}"
         return self.message
+
+
+def promote_shape(v):
+    """An index_shape result as ndarray consumes it back: a plain tuple of
+    non-negative integers becomes a Shape; anything else is returned as is."""
+    if type(v) is not tuple:
+        return v
+    for x in v:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+            return v
+    return tuple.__new__(Shape, v)  # the extents were just checked
 
 
 class Evaluator:
@@ -86,16 +98,8 @@ class Evaluator:
 
         fn = body
         if d.fname == "index_shape":
-            # index_shape results are the one value kind ndarray consumes
-            # back, so promote plain integer tuples to Shape here
             def shaped(*args):
-                v = body(*args)
-                if type(v) is tuple and all(
-                    isinstance(x, int) and not isinstance(x, bool) and x >= 0
-                    for x in v
-                ):
-                    return Shape(v)
-                return v
+                return promote_shape(body(*args))
 
             fn = shaped
 

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
+import re
 
 import pytest
 
 from dispatchkit.cli import main
+
+from test_inference import _gen_program
 
 
 def _write(tmp_path, name, text):
@@ -249,3 +253,49 @@ class TestFlags:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "run" in capsys.readouterr().out
+
+
+# ------------------------------------------------------------------ fuzz
+
+_FUZZ_TOKEN = re.compile(r"\n|\.\.\.|::|\w+(?:\.\w+)?|\"[^\"\n]*\"|\S")
+
+
+def _mutate(rng: random.Random, source: str) -> str:
+    """Drop, duplicate or truncate tokens of a program."""
+    tokens = _FUZZ_TOKEN.findall(source)
+    for _ in range(rng.randint(1, 3)):
+        if not tokens:
+            break
+        k = rng.randrange(len(tokens))
+        move = rng.choice(["drop", "duplicate", "truncate"])
+        if move == "drop":
+            del tokens[k]
+        elif move == "duplicate":
+            tokens.insert(k, tokens[k])
+        else:
+            tokens = tokens[:k]
+    return " ".join(tokens)
+
+
+def _fuzz_sources(seed: int, n: int):
+    rng = random.Random(seed)
+    for _ in range(n):
+        source = _gen_program(rng)
+        yield source if rng.random() < 0.3 else _mutate(rng, source)
+
+
+@pytest.mark.parametrize("command", ["run", "infer"])
+def test_fuzzed_programs_exit_with_a_documented_error(tmp_path, capsys, command):
+    f = tmp_path / "fuzz.mjl"
+    codes = set()
+    for source in _fuzz_sources(31337, 150):
+        f.write_text(source)
+        code = main([command, str(f)])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), source
+        assert "Traceback" not in captured.err, source
+        if code:
+            last = captured.err.splitlines()[-1]
+            assert last.startswith(("error:", "syntax error:")), (source, last)
+        codes.add(code)
+    assert codes >= ({0, 1, 2} if command == "run" else {0, 2})

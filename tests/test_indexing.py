@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+import dispatchkit.indexing as indexing
 import dispatchkit.runtime as runtime
 from dispatchkit.dispatch import DefinitionError, signature
 from dispatchkit.indexing import getindex, index_shape, rule_names
 from dispatchkit.minilang import MethodDef, parse
 from dispatchkit.ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, iota, zeros
+from dispatchkit.plans import shape_plan
 from dispatchkit.preludes import UnknownRuleError, prelude_source
 from dispatchkit.runtime import EvalError, Runtime
 from dispatchkit.values import RANGE
@@ -150,10 +153,15 @@ class TestDeepIndexLists:
     N = 2000
 
     @pytest.mark.parametrize("rule", rule_names())
-    def test_index_shape(self, rule):
+    def test_index_shape(self, rule, monkeypatch):
         with pytest.raises(EvalError, match="^call depth exceeded$"):
             index_shape(rule, [Range(1, 1)] * self.N)
         assert index_shape(rule, [Range(1, 2), Range(1, 3)]) == Shape((2, 3))
+        # a short list still runs its plan: the generic call is not reached
+        monkeypatch.setattr(indexing, "base_functions", _no_generic_call)
+        indices = [Range(1, 2), 3, Range(1, 4)]
+        got = index_shape(rule, indices)
+        assert got == Shape(index_shape_oracle(rule, indices)) and type(got) is Shape
 
     @pytest.mark.parametrize("rule", rule_names())
     def test_getindex_and_view(self, rule):
@@ -242,3 +250,118 @@ def test_product_preserved():
             for e in s:
                 p *= e
             assert p == lengths, (rule, indices)
+
+
+# ----------------------------------------------------------- shape plans
+
+
+def _no_generic_call(rule):
+    raise AssertionError("the generic index_shape call was reached")
+
+
+def _generic_index_shape(rule, indices):
+    """index_shape by dispatch through the evaluator, with no plan."""
+    return runtime.base_functions(rule).lookup("index_shape")(*indices)
+
+
+def _outcome(f):
+    try:
+        v = f()
+    except Exception as err:  # compared by type and message
+        return ("raise", type(err), str(err))
+    return ("value", type(v), v)
+
+
+def _fuzz_index(rng: random.Random):
+    kind = rng.choice(["int", "float", "range", "empty", "array", "bool"])
+    if kind == "int":
+        return rng.randint(1, 9)
+    if kind == "float":
+        return rng.choice([1.0, 2.5, 3.0])
+    if kind == "range":
+        lo = rng.randint(1, 5)
+        return Range(lo, lo + rng.randint(0, 4))
+    if kind == "empty":
+        lo = rng.randint(1, 5)
+        return Range(lo, lo - 1)
+    if kind == "bool":
+        return rng.random() < 0.5
+    shape = tuple(rng.randrange(4) for _ in range(rng.randrange(3)))
+    n = 1
+    for e in shape:
+        n *= e
+    return NdArray(shape, [float(rng.randint(1, 5)) for _ in range(n)])
+
+
+def test_plans_match_the_generic_call_fuzz():
+    rng = random.Random(60601)
+    rules = rule_names()
+    planned = 0
+    for trial in range(2000):
+        rule = rules[trial % len(rules)]
+        indices = [_fuzz_index(rng) for _ in range(rng.randrange(7))]
+        want = _outcome(lambda: _generic_index_shape(rule, indices))
+        assert _outcome(lambda: index_shape(rule, indices)) == want, (rule, indices)
+        plan = shape_plan(rule, tuple(map(type, indices)))
+        if plan is not None:
+            planned += 1
+            assert _outcome(lambda: plan(*indices)) == want, (rule, indices)
+        else:
+            assert any(type(i) is bool for i in indices), (rule, indices)
+    assert planned > 1000
+
+
+@pytest.mark.parametrize("rule", rule_names())
+def test_planned_lists_skip_the_generic_call(rule, monkeypatch):
+    monkeypatch.setattr(indexing, "base_functions", _no_generic_call)
+    for indices in ([], [2.5], [Range(1, 3), 2], [iota((2, 2)), Range(2, 1), 4]):
+        assert index_shape(rule, indices) == Shape(index_shape_oracle(rule, indices))
+    with pytest.raises(AssertionError, match="generic"):
+        index_shape(rule, [True])
+
+
+def test_a_plan_that_raises_takes_the_generic_call(monkeypatch):
+    def broken(*indices):
+        raise RuntimeError("plan failed")
+
+    monkeypatch.setattr(indexing, "shape_plan", lambda rule, classes: broken)
+    assert index_shape("apl", [Range(1, 3), iota((2, 2))]) == Shape((3, 2, 2))
+    with pytest.raises(EvalError, match="no method matching size"):
+        index_shape("apl", ["a"])
+
+
+@pytest.mark.parametrize("rule", rule_names())
+def test_every_small_index_signature_has_a_plan(rule):
+    for n in range(1, 5):
+        for classes in itertools.product((int, Range, NdArray), repeat=n):
+            assert shape_plan(rule, classes) is not None, classes
+
+
+@pytest.mark.parametrize("rule", rule_names())
+def test_no_plan_beyond_the_cap_or_for_other_classes(rule):
+    assert shape_plan(rule, (Range,) * 8) is not None
+    assert shape_plan(rule, (Range,) * 9) is None
+    assert shape_plan(rule, (bool,)) is None
+    assert shape_plan(rule, (Range, str)) is None
+    indices = [Range(1, 2)] * 9
+    assert index_shape(rule, indices) == Shape(index_shape_oracle(rule, indices))
+
+
+class TestShapePromotion:
+    @pytest.mark.parametrize("rule", rule_names())
+    def test_results_are_shapes(self, rule):
+        for indices in ([], [2], [Range(1, 3), 2], [iota((2, 2)), Range(2, 1), 4]):
+            assert type(index_shape(rule, indices)) is Shape
+            assert type(Runtime(rule).call("index_shape", *indices)) is Shape
+
+    def test_other_tuples_stay_plain(self):
+        rt = Runtime()
+        rt.run('index_shape(s::String) = (1, s)\n'
+               'index_shape(a::Int, b::Int, c::Int) = (a, b + c)')
+        got, = rt.run('index_shape("x")')
+        assert got == (1, "x") and type(got) is tuple
+        got, = rt.run("index_shape(1, 2, 3)")
+        assert got == Shape((1, 5)) and type(got) is Shape
+        rt.run("index_shape(a::Float) = (a, 2)")
+        got, = rt.run("index_shape(1.5)")
+        assert got == (1.5, 2) and type(got) is tuple

@@ -248,6 +248,26 @@ class TestWiden:
         assert widen(INT, 0, table) == INT
         assert widen(make_tuple([], INT), 0, table) == make_tuple([], INT)
 
+    def test_negative_bound_rejected(self, table):
+        with pytest.raises(ValueError, match="must not be negative"):
+            widen(make_tuple([INT, FLOAT, INT]), -1, table)
+        with pytest.raises(ValueError):
+            widen(INT, -1, table)
+
+    def test_idempotent_for_every_small_bound(self, table):
+        tuples = [
+            make_tuple([INT, FLOAT, INT]),
+            make_tuple([INT, INT, FLOAT], INT),
+            make_tuple([], REAL),
+            make_tuple([FLOAT, INT, INT, INT, FLOAT]),
+            make_tuple(()),
+        ]
+        for t in tuples:
+            for k in range(5):
+                w = widen(t, k, table)
+                assert widen(w, k, table) == w, (t, k)
+                assert subtype(t, w, table)
+
     def test_idempotent_and_upper(self, table, universe):
         for t in universe:
             for k in (0, 1, 2, 8):
