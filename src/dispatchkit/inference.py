@@ -13,7 +13,13 @@ still being computed contributes its provisional result (starting at
 Bottom, the empty type); the root of such a cycle recomputes until its
 result stops ascending. Frames finished against provisional inputs are
 discarded afterwards and recomputed on demand, which keeps memoized
-results honest. Which methods survive for a given (function, argument
+results honest. An instance whose body read no unfinished (active or
+provisional) result is final after one run: what it read is memoized
+and cannot change, so a second run would only confirm it. The one
+exception keeps reports exact: if some generic function went over its
+instantiation budget during that run, later calls of it answer Any, so
+the instance runs again until its result stops ascending, as a cycle's
+root does. Which methods survive for a given (function, argument
 tuple type) does not change during a run, so that screening is done once
 per pair and remembered by the state.
 
@@ -63,6 +69,7 @@ __all__ = [
 _ACTIVE, _PROVISIONAL, _DONE = range(3)
 
 _ITERATION_CAP = 100
+_NO_LINK = 1 << 30  # lowlink of a frame that consumed no unfinished result
 
 
 @dataclass
@@ -71,7 +78,7 @@ class _Frame:
     state: int = _ACTIVE
     result: TypeExpr = Bottom
     index: int = 0
-    lowlink: int = 1 << 30
+    lowlink: int = _NO_LINK
 
 
 @dataclass
@@ -142,6 +149,7 @@ class InferenceState:
         self.active_args: list[tuple] = []  # (gf name, arg TupleType)
         self.per_gf_instances: dict[str, int] = {}
         self.instantiations = 0
+        self.budget_crossings = 0  # functions that went over the budget
         self.sites: dict[int, _Verdict] = {}    # id(node) -> its verdict
         # (gf, arg type) -> _screen's answer; methods cannot change while
         # one state runs, so the memo needs no invalidation
@@ -310,16 +318,19 @@ class InferenceState:
                 self.stack[-1].lowlink = min(self.stack[-1].lowlink, fr.index)
             return fr.result
 
-        self.per_gf_instances[gf.name] = self.per_gf_instances.get(gf.name, 0) + 1
+        n = self.per_gf_instances[gf.name] = self.per_gf_instances.get(gf.name, 0) + 1
+        if n == self.budget + 1:
+            self.budget_crossings += 1
         self.instantiations += 1
         fr = _Frame(key, _ACTIVE, Bottom, index=len(self.stack))
         self.frames[key] = fr
         self.stack.append(fr)
+        crossings = self.budget_crossings
         try:
             for _ in range(_ITERATION_CAP):
                 before = fr.result
                 low_before = fr.lowlink
-                fr.lowlink = 1 << 30
+                fr.lowlink = _NO_LINK
                 r = self._run_body(gf, m, narrowed)
                 fr.lowlink = min(fr.lowlink, low_before)
                 r = join(before, r, self.types)
@@ -328,6 +339,10 @@ class InferenceState:
                 if fr.lowlink < fr.index:
                     break  # inner member; an outer root drives iteration
                 if not changed:
+                    break
+                if fr.lowlink == _NO_LINK and self.budget_crossings == crossings:
+                    # read only DONE results, and no call's answer turned
+                    # to Any meanwhile: a second run would see the same
                     break
                 self._reset_provisionals()
             else:

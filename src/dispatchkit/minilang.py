@@ -218,8 +218,13 @@ class _Parser:
         kinds = self.kinds
         if kinds[self.pos] not in ("IDENT", "PLUS") or kinds[self.pos + 1] != "LPAREN":
             return False
+        # the lexer ends every statement with a NEWLINE; one without '='
+        # cannot be a definition, and that test runs in C, not in the walk
+        end = kinds.index("NEWLINE", self.pos)
+        if "EQUALS" not in kinds[self.pos + 2:end]:
+            return False
         depth = 0
-        for k in range(self.pos + 1, len(kinds)):
+        for k in range(self.pos + 1, end):
             kind = kinds[k]
             if kind == "LPAREN":
                 depth += 1
@@ -227,8 +232,6 @@ class _Parser:
                 depth -= 1
                 if depth == 0:
                     return kinds[k + 1] == "EQUALS"
-            elif kind in ("NEWLINE", "EOF"):
-                return False
         return False
 
     def method_def(self) -> MethodDef:

@@ -321,6 +321,35 @@ class TestTermination:
         assert rt.call("c1") == 9
         assert subtype(type_of(rt.call("c1")), t, rt.types)
 
+    def test_instance_that_read_no_unfinished_result_runs_once(self, monkeypatch):
+        # every instance of the chain reads only finished results, so each
+        # body runs once: c1..c10 and sum on the grown tuple
+        rt = _rt()
+        lines = [f"c{k}(r...) = c{k + 1}(1, r...)" for k in range(1, 10)]
+        lines += ["c10(r...) = sum(r...)", "c1()"]
+        prog = rt.load_definitions("\n".join(lines) + "\n")
+        runs = []
+        run_body = InferenceState._run_body
+
+        def counting(self, gf, m, narrowed):
+            runs.append(m.label)
+            return run_body(self, gf, m, narrowed)
+
+        monkeypatch.setattr(InferenceState, "_run_body", counting)
+        report = infer_program(rt.functions, prog.items, rt.widen_max_fixed)
+        assert report.instantiations == 11
+        assert len(runs) == 11
+
+    def test_budget_crossing_reruns_the_instance(self):
+        # a function crossing its budget during a body run turns later
+        # answers to Any, so that run is not final: the report keeps the
+        # Any of the re-run at both sites inside nest
+        rt = _rt("trailing-drop")
+        report = _program_report(rt, "nest(x) = nest((x,))\nnest(0)\n")
+        assert report.render_lines() == [
+            "1:11 DYNAMIC Any", "1:16 DYNAMIC Any", "2:1 STATIC nest#1 Any"]
+        assert report.instantiations == 130
+
     def test_looped_chain_terminates(self):
         rt = _rt()
         lines = [f"l{k}(r...) = l{k + 1}(1, r...)" for k in range(1, 10)]
@@ -529,3 +558,87 @@ class TestInferGolden:
     def test_matches_the_recorded_report(self):
         for r in json.loads(INFER_GOLDEN.read_text()):
             assert infer_outcome(r["source"]) == r["report"], r["source"]
+
+
+# ------------------------------------------------ growth golden file
+
+# The fuzz generator above never builds the programs that drive the
+# fixpoint hardest: self-growing recursion (a cycle widened closed or cut
+# off by the instantiation budget) and chains of index_shape splices. The
+# second golden file records, for seeded programs of both families, the
+# same outcome as the first, under the index rule each program names.
+INFER_GOLDEN_GROWTH = Path(__file__).parent / "data" / "infer_golden_growth.json"
+
+_RULES = ("trailing-drop", "all-drop", "drop-size1", "apl")
+_GROWTH_KINDS = ("grow", "mutual", "nest", "chain", "acc")
+
+
+def _growth_source(rng: random.Random, kinds) -> str:
+    lines = []
+    for j, kind in enumerate(kinds):
+        if kind == "grow":
+            lines += [f"grow{j}(r...) = grow{j}(1, r...)", f"grow{j}()"]
+        elif kind == "mutual":
+            lines += [f"pa{j}(r...) = pb{j}(1, r...)",
+                      f"pb{j}(r...) = pa{j}(1.5, r...)", f"pa{j}()"]
+        elif kind == "nest":
+            lines += [f"nest{j}(x) = nest{j}((x,))", f"nest{j}({rng.randint(0, 9)})"]
+        elif kind == "chain":
+            m = rng.randint(6, 12)
+            lines += [f"c{j}_{i}(r...) = c{j}_{i + 1}(1, r...)" for i in range(1, m)]
+            lines += [f"c{j}_{m}(r...) = sum(r...)", f"c{j}_1()"]
+        else:
+            leaves = [str(rng.randint(0, 9)) if rng.random() < 0.6
+                      else f"{rng.randint(0, 9)}.5" for _ in range(rng.randint(9, 14))]
+            lines += [f"acc{j}() = ()",
+                      f"acc{j}(x::Real, r...) = (x + 1, acc{j}(r...)...)",
+                      f"acc{j}({', '.join(leaves)})"]
+    return "\n".join(lines) + "\n"
+
+
+def _splice_chain_source(rng: random.Random) -> str:
+    n = rng.randint(3, 5)
+    lines = ["k0(r...) = index_shape(r...)"]
+    for j in range(1, n):
+        if rng.random() < 0.5:
+            lines.append(f"k{j}(r...) = index_shape(r..., k{j - 1}(r...)...)")
+        else:
+            lines.append(f"k{j}(i, r...) = (length(i), k{j - 1}(r..., i)...)")
+    lines.append(f"k{n}(r...) = sum(k{n - 1}(r...)...)")
+    for _ in range(rng.randint(3, 6)):
+        args = []
+        for _ in range(rng.randint(2, 4)):
+            lo = rng.randint(1, 3)
+            args.append(str(lo) if rng.random() < 0.4 else f"{lo}:{lo + rng.randint(0, 4)}")
+        lines.append(f"k{rng.randint(1, n)}({', '.join(args)})")
+    return "\n".join(lines) + "\n"
+
+
+def growth_golden_programs(seed=20261019):
+    """(rule, source) pairs: every pair of growth kinds twice, then eight
+    splice chains per index rule."""
+    rng = random.Random(seed)
+    pairs = [(a, b) for i, a in enumerate(_GROWTH_KINDS) for b in _GROWTH_KINDS[i + 1:]]
+    out = [(_RULES[k % 4], _growth_source(rng, kinds))
+           for k, kinds in enumerate(pairs * 2)]
+    out += [(rule, _splice_chain_source(rng)) for _ in range(8) for rule in _RULES]
+    return out
+
+
+def growth_outcome(rule: str, source: str) -> dict:
+    report = _program_report(_rt(rule), source)
+    return {
+        "lines": report.render_lines(),
+        "instantiations": report.instantiations,
+        "expr_types": [render_type(t) for t in report.expr_types],
+    }
+
+
+class TestInferGoldenGrowth:
+    def test_sources_are_the_recorded_ones(self):
+        recorded = json.loads(INFER_GOLDEN_GROWTH.read_text())
+        assert [(r["rule"], r["source"]) for r in recorded] == growth_golden_programs()
+
+    def test_matches_the_recorded_report(self):
+        for r in json.loads(INFER_GOLDEN_GROWTH.read_text()):
+            assert growth_outcome(r["rule"], r["source"]) == r["report"], r["source"]

@@ -63,6 +63,14 @@ class TestDefinitions:
         assert d.body.fname == "tuple"
         assert isinstance(d.body.args[1], Splice)
 
+    def test_equals_of_a_later_statement_does_not_make_a_def(self):
+        # the look-ahead for '=' stops at the statement's NEWLINE, also
+        # when a parenthesised call spans several lines
+        p = parse("f(1,\n  2)\ng(x) = x\nf(3)\n")
+        assert [type(it) for it in p.items] == [Call, MethodDef, Call]
+        with pytest.raises(ParseError, match="expected end of statement"):
+            parse("f(1) g(x) = x\n")
+
     def test_comments_ignored(self):
         p = parse("# heading\nf(x) = x  # trailing\n\n# done\n")
         assert len(p.items) == 1
