@@ -18,7 +18,16 @@ call, which raises the documented error.
 
 from __future__ import annotations
 
-from .ndarray import BoundsError, IndexArg, NdArray, Range, RankMismatchError, Shape, gather
+from .ndarray import (
+    BoundsError,
+    IndexArg,
+    NdArray,
+    Range,
+    RankMismatchError,
+    Shape,
+    gather,
+    strided,
+)
 from .plans import MAX_PLAN_INDEXES, shape_plan
 from .preludes import RULE_NAMES
 from .runtime import EvalError, base_functions
@@ -51,22 +60,29 @@ def index_shape(rule: str, indices) -> Shape:
         raise EvalError("call depth exceeded") from None
 
 
-def _elements(idx: IndexArg, dim: int) -> list[int]:
+def _steps(idx: IndexArg, dim: int, extent: int, stride: int):
+    """Each subscript the index selects along one dimension times the
+    stride, after the bounds check: a range for a Range, a list otherwise.
+    Each error names the first bad element in index order."""
     if isinstance(idx, bool):
         raise TypeError("booleans are not indexes")
     if isinstance(idx, int):
-        return [idx]
+        if not 1 <= idx <= extent:
+            raise BoundsError(dim, idx, extent)
+        return [idx * stride]
     if isinstance(idx, Range):
-        return list(idx)
+        if idx.length > 0 and (idx.lo < 1 or idx.hi > extent):
+            raise BoundsError(dim, idx.lo if not 1 <= idx.lo <= extent else extent + 1, extent)
+        return strided(idx.lo * stride, idx.length, stride)
     if isinstance(idx, NdArray):
-        out = []
-        for v in idx.buffer:
-            if v != int(v):
-                raise ValueError(
-                    f"index array for dimension {dim} holds non-integer {v!r}"
-                )
-            out.append(int(v))
-        return out
+        values = idx.buffer
+        if not all(map(float.is_integer, values)):
+            bad = next(v for v in values if not v.is_integer())
+            raise ValueError(f"index array for dimension {dim} holds non-integer {bad!r}")
+        subs = list(map(int, values))
+        if subs and (min(subs) < 1 or max(subs) > extent):
+            raise BoundsError(dim, next(i for i in subs if not 1 <= i <= extent), extent)
+        return subs if stride == 1 else [i * stride for i in subs]
     raise TypeError(f"not an index: {idx!r}")
 
 
@@ -75,12 +91,11 @@ def getindex(a: NdArray, indices, rule="trailing-drop") -> NdArray:
     indices = list(indices)
     if len(indices) != a.rank:
         raise RankMismatchError(a.rank, len(indices))
-    steps = []
-    for dim, (idx, extent, stride) in enumerate(zip(indices, a.shape, a.strides()), start=1):
-        elems = _elements(idx, dim)
-        for e in elems:
-            if not 1 <= e <= extent:
-                raise BoundsError(dim, e, extent)
-        steps.append([(e - 1) * stride for e in elems])
+    strides = a.strides()
+    steps = [
+        _steps(idx, dim, extent, stride)
+        for dim, (idx, extent, stride) in enumerate(zip(indices, a.shape, strides), start=1)
+    ]
     shape = index_shape(rule, indices)
-    return NdArray(tuple(shape), gather(a.buffer, 0, steps))
+    # subscripts are 1-based: the flat position is sum((i - 1) * stride)
+    return NdArray._of_floats(shape, gather(a.buffer, -sum(strides), steps))

@@ -8,13 +8,22 @@ Extent-0 dimensions are allowed and make the buffer empty.
 Range and Shape live here too: ranges are the closed integer intervals
 used as indexes, and Shape is the integer-sequence value that indexing
 returns. Shape subclasses tuple so it splices and compares like one.
+
 `gather` is the one element-copy loop; getindex and view
-materialization both use it.
+materialization both use it. Each dimension's flat steps come as a
+`range` when they form an arithmetic run (a Range index, or any
+dimension of a view) and as a list otherwise (an NdArray index).
+Extent-1 dimensions fold into the offset. Leading runs whose steps
+continue one another merge into one run, and each outer offset copies
+that run as one tuple slice, so a contiguous selection costs one slice
+per column rather than one index operation per element.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -29,6 +38,7 @@ __all__ = [
     "to_text",
     "from_text",
     "gather",
+    "strided",
 ]
 
 
@@ -58,10 +68,13 @@ class Range:
     hi: int
 
     def __post_init__(self):
-        if not isinstance(self.lo, int) or not isinstance(self.hi, int):
-            raise TypeError("range endpoints must be integers")
-        if self.hi < self.lo - 1:
-            raise ValueError(f"descending range {self.lo}:{self.hi}")
+        lo, hi = self.lo, self.hi
+        if type(lo) is not int or type(hi) is not int:  # plain ints skip the full check
+            for e in (lo, hi):
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise TypeError("range endpoints must be integers")
+        if hi < lo - 1:
+            raise ValueError(f"descending range {lo}:{hi}")
 
     @property
     def length(self) -> int:
@@ -101,11 +114,22 @@ class NdArray:
     __slots__ = ("shape", "buffer", "_strides")
 
     def __init__(self, shape: Sequence[int], values: Iterable[float]):
+        self._fill(shape, tuple(map(float, values)))
+
+    @classmethod
+    def _of_floats(cls, shape: Sequence[int], buffer: tuple) -> NdArray:
+        """An array over `buffer`, a tuple whose elements were read from
+        another array's buffer and so are floats already: checked like
+        the public constructor, but not converted again."""
+        a = object.__new__(cls)
+        a._fill(shape, buffer)
+        return a
+
+    def _fill(self, shape, buffer: tuple):
         shape = tuple(shape)
         for e in shape:
             if not isinstance(e, int) or isinstance(e, bool) or e < 0:
                 raise ValueError(f"extents must be non-negative integers, got {e!r}")
-        buffer = tuple(map(float, values))
         if len(buffer) != _product(shape):
             raise ValueError(
                 f"buffer has {len(buffer)} elements but shape {shape} needs {_product(shape)}"
@@ -161,17 +185,52 @@ class NdArray:
 IndexArg = Union[int, Range, NdArray]
 
 
-def gather(buffer, offset: int, steps) -> list:
+def gather(buffer, offset: int, steps) -> tuple:
     """Read buffer[offset + s1 + ... + sn] for every choice of one flat step
-    sk from each dimension's list steps[k], in column-major order.
+    sk from each dimension's steps[k], in column-major order, as a tuple.
 
-    The offsets are built one dimension at a time, last dimension first,
-    so the first dimension varies fastest. No bounds are checked.
+    A dimension's steps are a `range` when they form an arithmetic run
+    and any other sequence otherwise. Dimensions with one step fold into
+    the offset. Leading ranges merge into one run while the next one's
+    step equals the run's length times its step, and the run is copied
+    as one slice of `buffer` per outer offset. The outer offsets are
+    built one dimension at a time, last dimension first, so the first
+    dimension varies fastest. No bounds are checked: every position read
+    must lie in the buffer.
     """
-    flats = [offset]
-    for dim_steps in reversed(steps):
+    dims = []
+    for dim_steps in steps:
+        if len(dim_steps) == 1:
+            offset += dim_steps[0]
+        elif not dim_steps:
+            return ()
+        else:
+            dims.append(dim_steps)
+    run, outer = range(1), dims  # a run of one step: every dimension is outer
+    if dims and isinstance(dims[0], range) and dims[0].step > 0:
+        run, k = dims[0], 1
+        for nxt in dims[1:]:
+            if not isinstance(nxt, range) or nxt.step != len(run) * run.step:
+                break
+            start = run.start + nxt.start
+            run = range(start, start + len(run) * len(nxt) * run.step, run.step)
+            k += 1
+        outer = dims[k:]
+    flats = [offset + run.start]
+    for dim_steps in reversed(outer):
         flats = [f + s for f in flats for s in dim_steps]
-    return [buffer[f] for f in flats]
+    if len(run) == 1:
+        return (buffer[flats[0]],) if len(flats) == 1 else itemgetter(*flats)(buffer)
+    span, step = len(run) * run.step, run.step
+    if len(flats) == 1:
+        return tuple(buffer[flats[0]:flats[0] + span:step])
+    return tuple(chain.from_iterable(buffer[f:f + span:step] for f in flats))
+
+
+def strided(start: int, count: int, stride: int):
+    """The `count` flat steps start, start + stride, ... as a range, or as
+    a list when stride is 0, which a range cannot step by."""
+    return range(start, start + count * stride, stride) if stride else [start] * count
 
 
 def iota(shape: Sequence[int]) -> NdArray:

@@ -25,7 +25,7 @@ import enum
 from dataclasses import dataclass
 
 from .indexing import index_shape
-from .ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, gather
+from .ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, gather, strided
 
 __all__ = [
     "COLON",
@@ -162,5 +162,5 @@ def view_get(v: ArrayView, subscript):
 
 def to_array(v: ArrayView) -> NdArray:
     """Copy a view into a fresh array (column-major); `view` checked the bounds."""
-    steps = [[k * stride for k in range(extent)] for extent, stride in zip(v.shape, v.strides)]
-    return NdArray(tuple(v.shape), gather(v.base.buffer, v.offset, steps))
+    steps = [strided(0, extent, stride) for extent, stride in zip(v.shape, v.strides)]
+    return NdArray._of_floats(v.shape, gather(v.base.buffer, v.offset, steps))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from dispatchkit.plans import shape_plan
 from dispatchkit.preludes import UnknownRuleError, prelude_source
 from dispatchkit.runtime import EvalError, Runtime
 from dispatchkit.values import RANGE
-from dispatchkit.views import view
+from dispatchkit.views import COLON, to_array, view
 
 from oracles import getindex_oracle, index_shape_oracle
 
@@ -88,6 +89,36 @@ class TestGetindex:
     def test_non_integral_index_array(self):
         with pytest.raises(ValueError):
             getindex(iota((5,)), [NdArray((1,), [2.5])], "trailing-drop")
+
+    @pytest.mark.parametrize("v, name", [(1.5, "1.5"), (math.nan, "nan"),
+                                         (math.inf, "inf"), (-math.inf, "-inf")])
+    def test_non_integer_index_array_message(self, v, name):
+        a = iota((3, 4))
+        with pytest.raises(ValueError) as e:
+            getindex(a, [NdArray((1,), [v]), 1])
+        assert str(e.value) == f"index array for dimension 1 holds non-integer {name}"
+        with pytest.raises(ValueError) as e:
+            getindex(a, [Range(1, 3), NdArray((3,), [2.0, v, 0.5])])
+        assert str(e.value) == f"index array for dimension 2 holds non-integer {name}"
+
+    # the first bad element in index order, as the parent's per-element walk named it
+    @pytest.mark.parametrize("idx, bad", [
+        (Range(0, 2), 0), (Range(2, 9), 4), (Range(5, 9), 5), (Range(-3, -1), -3),
+        (NdArray((3,), [2.0, 5.0, 0.0]), 5), (NdArray((2,), [0.0, 4.0]), 0),
+    ])
+    def test_bounds_error_names_the_first_bad_element(self, idx, bad):
+        with pytest.raises(BoundsError) as e:
+            getindex(iota((4, 3)), [Range(1, 4), idx])
+        assert str(e.value) == f"index {bad} out of bounds for dimension 2 with extent 3"
+        assert (e.value.dim, e.value.value, e.value.extent) == (2, bad, 3)
+
+    def test_empty_range_outside_the_extent_selects_nothing(self):
+        got = getindex(iota((3,)), [Range(10, 9)])
+        assert got.shape == (0,) and got.buffer == ()
+
+    def test_zero_extent_source(self):
+        got = getindex(zeros((0, 3)), [Range(1, 0), Range(1, 2)])
+        assert got.shape == (0, 2) and got.buffer == ()
 
     def test_empty_range(self):
         got = getindex(iota((3, 4)), [Range(1, 0), 2], "trailing-drop")
@@ -365,3 +396,20 @@ class TestShapePromotion:
         rt.run("index_shape(a::Float) = (a, 2)")
         got, = rt.run("index_shape(1.5)")
         assert got == (1.5, 2) and type(got) is tuple
+
+
+def test_copies_hold_a_tuple_of_floats():
+    a = iota((4, 3, 2))
+    idx = NdArray((2,), [3.0, 1.0])
+    copies = [
+        getindex(a, [Range(1, 4), Range(2, 3), 2]),
+        getindex(a, [Range(2, 3), idx, Range(1, 2)], "apl"),
+        getindex(a, [2, 3, 1]),
+        getindex(a, [Range(1, 4), Range(1, 3), Range(1, 2)]),
+        to_array(view(a, [COLON, COLON, COLON])),
+        to_array(view(a, [Range(2, 3), 2, COLON])),
+        to_array(view(view(a, [COLON, Range(1, 2), 1]), [Range(2, 4), COLON])),
+    ]
+    for got in copies:
+        assert type(got.buffer) is tuple
+        assert got.buffer and all(type(v) is float for v in got.buffer)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -13,7 +14,9 @@ from dispatchkit.ndarray import (
     RankMismatchError,
     Shape,
     from_text,
+    gather,
     iota,
+    strided,
     to_text,
     zeros,
 )
@@ -73,6 +76,13 @@ class TestErrors:
         with pytest.raises(RankMismatchError):
             iota((2, 3)).get((1, 1, 1))
 
+    def test_unconverted_path_keeps_the_checks(self):
+        with pytest.raises(ValueError, match="buffer has 2 elements"):
+            NdArray._of_floats((3,), (1.0, 2.0))
+        with pytest.raises(ValueError, match="non-negative"):
+            NdArray._of_floats((-1,), ())
+        assert NdArray._of_floats((2,), (1.0, 2.0)) == NdArray((2,), [1, 2])
+
     def test_buffer_length_checked(self):
         with pytest.raises(ValueError):
             NdArray((2, 2), [1.0, 2.0, 3.0])
@@ -111,6 +121,11 @@ class TestRange:
     def test_endpoints_must_be_ints(self):
         with pytest.raises(TypeError):
             Range(1.0, 5)
+
+    @pytest.mark.parametrize("lo, hi", [(True, 2), (1, True), (False, False)])
+    def test_bool_endpoints_rejected(self, lo, hi):
+        with pytest.raises(TypeError, match="range endpoints must be integers"):
+            Range(lo, hi)
 
 
 class TestShape:
@@ -171,3 +186,62 @@ def test_exhaustive_get_against_flat_enumeration():
             assert v == float(a.linear_index(sub) + 1)
             seen.add(v)
         assert len(seen) == len(a.buffer)
+
+
+def gather_reference(buffer, offset, steps):
+    """Per-element reference: one flat position per choice of steps,
+    the first dimension fastest."""
+    return [
+        buffer[offset + sum(choice)]
+        for choice in itertools.product(*[list(s) for s in reversed(steps)])
+    ]
+
+
+def _random_steps(rng: random.Random, seen: set) -> list:
+    """Steps for up to four dimensions: runs that continue the previous
+    run (so they merge), runs with a gap, lists and stride-0 dimensions,
+    of extent 0 to 4."""
+    steps, unit = [], rng.choice([1, 2])
+    for _ in range(rng.randrange(5)):
+        n = rng.choice([0, 1, 1, 2, 3, 4])
+        kind = rng.choice(["continues", "gap", "list", "stride0"])
+        step = unit if kind == "continues" else unit + rng.randint(1, 3)
+        if kind == "list":
+            dim = [rng.randrange(7) for _ in range(n)]
+        elif kind == "stride0":
+            dim = strided(rng.randrange(3), n, 0)
+        else:
+            dim = strided(rng.randrange(3) * step, n, step)
+        unit = max(n, 1) * step if isinstance(dim, range) else rng.randint(1, 5)
+        steps.append(dim)
+        seen.add(kind if n > 1 else f"extent {n}")
+    kept = [s for s in steps if len(s) != 1]
+    if len(kept) >= 2 and all(isinstance(s, range) for s in kept[:2]):
+        if kept[1].step == len(kept[0]) * kept[0].step:
+            seen.add("merged")
+        if any(not isinstance(s, range) for s in kept):
+            seen.add("run with outer list")
+    return steps
+
+
+def test_gather_matches_a_per_element_loop_fuzz():
+    rng = random.Random(20260)
+    seen = set()
+    for _ in range(3000):
+        steps = _random_steps(rng, seen)
+        offset = rng.randrange(6)
+        size = offset + sum(max(s, default=0) for s in steps) + 1
+        buffer = tuple(float(k) for k in range(size))
+        got = gather(buffer, offset, steps)
+        assert type(got) is tuple, steps
+        assert list(got) == gather_reference(buffer, offset, steps), (offset, steps)
+    assert seen == {
+        "continues", "gap", "list", "stride0", "extent 0", "extent 1",
+        "merged", "run with outer list",
+    }
+
+
+def test_strided_steps():
+    assert strided(3, 4, 2) == range(3, 11, 2)
+    assert list(strided(3, 0, 5)) == []
+    assert strided(4, 3, 0) == [4, 4, 4]
