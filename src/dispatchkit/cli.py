@@ -6,7 +6,7 @@ Subcommands: `run` evaluates a program and prints its value trace,
 engine, and `view-demo` walks through array view construction.
 
 Exit codes: 0 success, 1 runtime error, 2 input error (syntax, file,
-corpus format, bad flags).
+file not UTF-8 text, corpus format, bad flags).
 """
 
 from __future__ import annotations
@@ -88,8 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class InputError(Exception):
+    """A file that is not UTF-8 text."""
+
+
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"{path}: not UTF-8 text (byte {err.start}: "
+                         f"{err.reason})") from None
 
 
 def _runtime(args) -> Runtime:
@@ -194,7 +202,8 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"syntax error: {err}", file=sys.stderr)
         return 2
-    except (CorpusFormatError, EmptyCorpusError, UnknownRuleError) as err:
+    except (CorpusFormatError, EmptyCorpusError, InputError,
+            UnknownRuleError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

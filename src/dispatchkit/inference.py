@@ -55,6 +55,7 @@ from .lattice import (
     widen,
 )
 from .minilang import Call, Ident, Lit, MethodDef, RangeLit, Splice
+from .runtime import EvalError
 from .values import FLOAT, INT, RANGE, STRING
 
 __all__ = [
@@ -417,7 +418,10 @@ def infer_program(functions: FunctionTable, items,
     """Annotate every call site of the given program items.
 
     `items` are parsed statements (definitions and expressions); the
-    definitions are assumed to be already present in `functions`.
+    definitions are assumed to be already present in `functions`. A
+    top-level expression whose inference exhausts the Python stack raises
+    EvalError("call depth exceeded") located at that expression, as
+    `Runtime.run` does.
     """
     state = InferenceState(functions, widen_max_fixed)
     nodes: list[Call] = []
@@ -428,7 +432,10 @@ def infer_program(functions: FunctionTable, items,
     expr_types = []
     for item in items:
         if not isinstance(item, MethodDef):
-            expr_types.append(state.infer_expr(item, {}))
+            try:
+                expr_types.append(state.infer_expr(item, {}))
+            except RecursionError:
+                raise EvalError("call depth exceeded", item.loc) from None
     by_node = {}
     for n in nodes:
         v = state.sites[id(n)]

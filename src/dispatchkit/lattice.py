@@ -107,6 +107,20 @@ class TupleType:
         if self.tail is Bottom or any(f is Bottom for f in self.fixed):
             raise ValueError("use make_tuple to normalize Bottom components")
 
+    def __hash__(self):
+        # computed on first use and kept: inference hashes the same tuple
+        # types over and over as memo keys
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.fixed, self.tail))
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __reduce__(self):
+        # without the cached hash: string hashes differ between processes
+        return TupleType, (self.fixed, self.tail)
+
     def __repr__(self):
         return render_type(self)
 

@@ -19,14 +19,13 @@ call. Compiled bodies are shared by every plan of a rule.
 from __future__ import annotations
 
 import functools
-from operator import itemgetter
 from typing import Callable, Optional
 
 from .dispatch import FunctionTable, Method
 from .inference import InferenceState
 from .lattice import Bottom, TupleType, make_tuple, meet
 from .minilang import Call, Ident, Lit, Splice
-from .runtime import base_functions, promote_shape
+from .runtime import arg_tuple, base_functions, param_slots, promote_shape
 
 __all__ = ["MAX_PLAN_INDEXES", "shape_plan"]
 
@@ -105,11 +104,9 @@ class _Compiler:
             if key in self.fresh:  # a call chain that re-enters this instance
                 raise _Unplannable(m.label)
             self.fresh[key] = None
-            slots = {}
-            for k, p in enumerate(m.body.params):
-                slots[p.name] = (lambda a, k=k: a[k:]) if p.variadic else itemgetter(k)
             body = self.fresh[key] = self._expr(m.body.body,
-                                                self.state.bind(m, narrowed), slots)
+                                                self.state.bind(m, narrowed),
+                                                param_slots(m.body.params))
         return body
 
     def _expr(self, e, env: dict, slots: dict) -> Callable:
@@ -136,32 +133,8 @@ class _Compiler:
                 if not isinstance(self.state.infer_expr(x, env), TupleType):
                     raise _Unplannable(e.fname)
             parts.append((self._expr(x, env, slots), spliced))
+        args = arg_tuple(parts)
         if body is None:
-            return _site(m.fn, parts)
-        if [s for _, s in parts] == [True]:
-            f = parts[0][0]
-            return lambda a: body(f(a))
-        return _site(lambda *xs: body(xs), parts)
-
-
-def _site(fn, parts) -> Callable:
-    """`fn` applied to the arguments the parts compute from the positional
-    argument tuple, splicing the parts marked so. Only the argument
-    patterns the packaged preludes use are compiled."""
-    pattern = tuple(s for _, s in parts)
-    fs = [f for f, _ in parts]
-    if pattern == ():
-        return lambda a: fn()
-    if pattern == (False,):
-        f, = fs
-        return lambda a: fn(f(a))
-    if pattern == (True,):
-        f, = fs
-        return lambda a: fn(*f(a))
-    if pattern == (False, True):
-        f, g = fs
-        return lambda a: fn(f(a), *g(a))
-    if pattern == (True, True):
-        f, g = fs
-        return lambda a: fn(*f(a), *g(a))
-    raise _Unplannable(f"argument pattern {pattern}")
+            fn = m.fn
+            return lambda a: fn(*args(a))
+        return lambda a: body(args(a))

@@ -6,6 +6,8 @@ sum, droptrail1) and the rule's prelude methods. Programs load
 incrementally; their definitions extend the function table and their
 top-level expressions evaluate through the dispatch engine, so every
 call in a trace went through the same method selection as `select`.
+Method bodies are compiled on their first call; top-level expressions
+are walked (see Evaluator).
 
 Native methods carry a transfer annotation: the result type as a
 function of the (already narrowed) argument tuple type. The inference
@@ -15,6 +17,7 @@ engine consults it where a minilang body would otherwise be walked.
 from __future__ import annotations
 
 import functools
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .dispatch import DispatchError, FunctionTable, MethodSignature, dispatch_call
@@ -24,8 +27,8 @@ from .ndarray import NdArray, Range, Shape
 from .preludes import prelude_source
 from .values import FLOAT, INT, INTEGER, INT_ARRAY, RANGE, REAL, STRING
 
-__all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "base_functions",
-           "promote_shape"]
+__all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "arg_tuple",
+           "base_functions", "param_slots", "promote_shape"]
 
 
 class LangError(Exception):
@@ -55,8 +58,64 @@ def promote_shape(v):
     return tuple.__new__(Shape, v)  # the extents were just checked
 
 
+def param_slots(params) -> dict:
+    """Each parameter name mapped to a getter of its value from the
+    positional argument tuple: `itemgetter(k)`, or the tuple `a[k:]` for
+    a variadic parameter. A later parameter of the same name wins."""
+    return {p.name: itemgetter(slice(k, None) if p.variadic else k)
+            for k, p in enumerate(params)}
+
+
+def arg_tuple(parts) -> Callable:
+    """The function from a positional argument tuple to the argument tuple
+    of one call. `parts` lists (closure, spliced) pairs in argument order;
+    each closure takes the positional tuple, and a spliced one returns a
+    tuple whose elements are inserted in its place. The argument counts
+    bodies use most get a closure of their own."""
+    pattern = tuple(s for _, s in parts)
+    fs = [f for f, _ in parts]
+    if pattern == ():
+        return lambda a: ()
+    if pattern == (True,):
+        return fs[0]
+    if pattern == (False,):
+        f, = fs
+        return lambda a: (f(a),)
+    if pattern == (False, False):
+        f, g = fs
+        return lambda a: (f(a), g(a))
+    if pattern == (False, False, False):
+        f, g, h = fs
+        return lambda a: (f(a), g(a), h(a))
+    if pattern == (False, True):
+        f, g = fs
+        return lambda a: (f(a), *g(a))
+    if pattern == (True, True):
+        f, g = fs
+        return lambda a: (*f(a), *g(a))
+
+    def build(a):
+        out = []
+        for f, spliced in parts:
+            if spliced:
+                out.extend(f(a))
+            else:
+                out.append(f(a))
+        return tuple(out)
+
+    return build
+
+
 class Evaluator:
-    """Walks syntax trees against a function table."""
+    """Runs minilang against a function table.
+
+    A method body is compiled on its first call into closures over the
+    positional argument tuple, and the method's `fn` is replaced by the
+    compiled body; `define` compiles nothing. Top-level expressions run
+    once, so `run_items` walks their syntax trees instead. Both reach
+    every call through `_apply`, which dispatches, converts errors to
+    EvalError at the call's location and notifies the observer.
+    """
 
     def __init__(self, functions: FunctionTable,
                  observer: Optional[Callable] = None):
@@ -81,29 +140,23 @@ class Evaluator:
 
     def define(self, d: MethodDef):
         sig = self.signature_of(d)
-        names = [p.name for p in d.params]
-        run = self.eval
-        expr = d.body
-        if sig.variadic:
-            rest = names.pop()
-            n = len(names)
+        m = None
 
-            def body(*args):
-                env = dict(zip(names, args))
-                env[rest] = args[n:]
-                return run(expr, env)
-        else:
-            def body(*args):
-                return run(expr, dict(zip(names, args)))
+        def first_call(*args):
+            body = self._compile_body(d)
+            m.fn = lambda *a: body(a)
+            return body(args)  # here, so a first call needs no deeper stack
 
-        fn = body
+        m = self.functions.function(d.fname).define(sig, first_call, body=d)
+        return m
+
+    def _compile_body(self, d: MethodDef) -> Callable:
+        """`d`'s body as a function of the positional argument tuple."""
+        tail = d.params[-1].name if d.params and d.params[-1].variadic else None
+        body = self._compile(d.body, param_slots(d.params), tail)
         if d.fname == "index_shape":
-            def shaped(*args):
-                return promote_shape(body(*args))
-
-            fn = shaped
-
-        return self.functions.function(d.fname).define(sig, fn, body=d)
+            return lambda a: promote_shape(body(a))
+        return body
 
     def run_items(self, prog: Program) -> list:
         trace = []
@@ -112,47 +165,86 @@ class Evaluator:
                 self.define(item)
             else:
                 try:
-                    trace.append(self.eval(item, {}))
+                    trace.append(self.eval(item))
                 except RecursionError:
                     raise EvalError("call depth exceeded", item.loc) from None
         return trace
 
-    def eval(self, e, env: dict):
+    # --------------------------------------------------- the tree walker
+
+    def eval(self, e):
+        """The value of a top-level expression, where no name is bound."""
         kind = type(e)
         if kind is Call:
-            return self._call(e, env)
-        if kind is Ident:
-            if e.name in env:
-                return env[e.name]
-            raise EvalError(f"unbound identifier {e.name}", e.loc)
+            args = []
+            for x in e.args:
+                if type(x) is Splice:
+                    args.extend(_spliced(x, self.eval(x.expr)))
+                else:
+                    args.append(self.eval(x))
+            return self._apply(e, self._function(e), tuple(args))
         if kind is Lit:
             return e.value
         if kind is RangeLit:
-            lo = self.eval(e.lo, env)
-            hi = self.eval(e.hi, env)
-            if not isinstance(lo, int) or not isinstance(hi, int) \
-                    or isinstance(lo, bool) or isinstance(hi, bool):
-                raise EvalError("range endpoints must be integers", e.loc)
-            try:
-                return Range(lo, hi)
-            except ValueError as err:
-                raise EvalError(str(err), e.loc) from None
+            return _range(e, self.eval(e.lo), self.eval(e.hi))
+        if kind is Ident:
+            raise EvalError(f"unbound identifier {e.name}", e.loc)
         raise EvalError(f"cannot evaluate {e!r}", getattr(e, "loc", None))
 
-    def _call(self, e: Call, env: dict):
-        args = []
-        for a in e.args:
-            if type(a) is Splice:
-                v = self.eval(a.expr, env)
-                if isinstance(v, tuple):  # Shape included
-                    args.extend(v)
-                else:
-                    raise EvalError("only tuples can be spliced", a.loc)
+    # ------------------------------------------------------ the compiler
+
+    def _compile(self, e, slots: dict, tail: Optional[str]) -> Callable:
+        """`e` as a function of the positional argument tuple. `slots` maps
+        the parameters to their getters; `tail` names the variadic one."""
+        kind = type(e)
+        if kind is Call:
+            return self._site(e, slots, tail)
+        if kind is Ident and e.name in slots:
+            return slots[e.name]
+        if kind is Lit:
+            v = e.value
+            return lambda a: v
+        if kind is RangeLit:
+            lo = self._compile(e.lo, slots, tail)
+            hi = self._compile(e.hi, slots, tail)
+            return lambda a: _range(e, lo(a), hi(a))
+        # an unbound identifier or a node no body holds: the walker's error
+        return lambda a: self.eval(e)
+
+    def _site(self, e: Call, slots: dict, tail: Optional[str]) -> Callable:
+        """The call `e` as a function of the positional argument tuple. Its
+        generic function is looked up until found, then kept."""
+        parts = []
+        for x in e.args:
+            if type(x) is not Splice:
+                parts.append((self._compile(x, slots, tail), False))
+            elif type(x.expr) is Ident and x.expr.name == tail:
+                parts.append((slots[tail], True))  # always a tuple
             else:
-                args.append(self.eval(a, env))
+                f = self._compile(x.expr, slots, tail)
+                parts.append(((lambda a, f=f, x=x: _spliced(x, f(a))), True))
+        build = arg_tuple(parts)
+        apply = self._apply
+        gf = self.functions.lookup(e.fname)
+
+        def site(a):
+            nonlocal gf
+            args = build(a)
+            if gf is None:
+                gf = self._function(e)
+            return apply(e, gf, args)
+
+        return site
+
+    # ------------------------------------------- shared by walker and sites
+
+    def _function(self, e: Call):
         gf = self.functions.lookup(e.fname)
         if gf is None:
             raise EvalError(f"unknown function {e.fname}", e.loc)
+        return gf
+
+    def _apply(self, e: Call, gf, args: tuple):
         try:
             m = gf.method_for_args(args)
         except (TypeError, DispatchError) as err:  # TypeError: from type_of
@@ -164,6 +256,24 @@ class Evaluator:
         if self.observer is not None:
             self.observer(e, m, args, result)
         return result
+
+
+def _spliced(x: Splice, v) -> tuple:
+    if type(v) is tuple:
+        return v
+    if isinstance(v, tuple):  # a Shape
+        return tuple(v)
+    raise EvalError("only tuples can be spliced", x.loc)
+
+
+def _range(e: RangeLit, lo, hi) -> Range:
+    if not isinstance(lo, int) or not isinstance(hi, int) \
+            or isinstance(lo, bool) or isinstance(hi, bool):
+        raise EvalError("range endpoints must be integers", e.loc)
+    try:
+        return Range(lo, hi)
+    except ValueError as err:
+        raise EvalError(str(err), e.loc) from None
 
 
 # ------------------------------------------------------------- natives
@@ -283,7 +393,8 @@ class Runtime:
         EvalError located at that expression.
 
         The observer, when given, sees every call made while this source
-        runs, including calls inside previously defined method bodies.
+        runs, including calls inside previously defined method bodies:
+        `observer(call, method, args, result)`, with `args` a tuple.
         """
         prog = parse(source)
         self.items.extend(prog.items)

@@ -214,6 +214,16 @@ class TestDeepRecursion:
             "error: line 3, column 1: call depth exceeded"
         assert "Traceback" not in err
 
+    def test_deep_acyclic_chain_infer_exit_1(self, tmp_path, capsys):
+        chain = "".join(f"c{i}(x) = c{i + 1}(x)\n" for i in range(198))
+        f = _write(tmp_path, "chain.mjl", chain + "c198(x) = x\n1 + 1\nc0(1)\n")
+        assert main(["infer", f]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 201, column 1: call depth exceeded\n"
+        assert main(["run", f]) == 0
+        assert capsys.readouterr().out == "2\n1\n"
+
     @pytest.mark.parametrize("command", ["run", "infer"])
     def test_deep_nesting_exit_2(self, tmp_path, capsys, command):
         depth = 3000
@@ -225,6 +235,20 @@ class TestDeepRecursion:
         assert first.startswith("syntax error: line 2, column ")
         assert ": expression nested too deeply" in first
         assert "Traceback" not in err
+
+
+class TestFileEncoding:
+    """A file that is not UTF-8 text is bad input, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["run", "infer", "metrics"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, command):
+        f = tmp_path / "latin.mjl"
+        f.write_bytes(b"\xff\xfe f() = 1\n")
+        assert main([command, str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: {f}: not UTF-8 text (byte 0: invalid start byte)\n"
 
 
 class TestFlags:

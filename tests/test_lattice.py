@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import pickle
 import random
 
 import pytest
@@ -274,6 +275,29 @@ class TestWiden:
                 w = widen(t, k, table)
                 assert widen(w, k, table) == w
                 assert subtype(t, w, table)
+
+
+class TestTupleHash:
+    def test_hash_is_kept_and_agrees_with_equality(self):
+        t = make_tuple([INT, make_tuple([FLOAT])], REAL)
+        u = make_tuple([INT, make_tuple([FLOAT])], REAL)
+        assert "_hash" not in vars(t)
+        assert hash(t) == hash((t.fixed, t.tail))
+        assert vars(t)["_hash"] == hash(t)
+        assert t == u and u == t and t is not u
+        assert {t: "seen"}[u] == "seen"
+        assert t != make_tuple([INT, make_tuple([FLOAT])])
+
+    def test_copies_and_pickles_leave_the_cached_hash_behind(self):
+        # string hashes differ between processes, so a cached hash must
+        # not travel with the value
+        t = make_tuple([STRING, RANGE], INT)
+        hash(t)
+        for twin in (copy.copy(t), copy.deepcopy(t),
+                     pickle.loads(pickle.dumps(t))):
+            assert twin == t
+            assert "_hash" not in vars(twin)
+            assert hash(twin) == hash(t)
 
 
 class TestMakeTuple:

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 import dispatchkit.runtime as runtime
 from dispatchkit.dispatch import NoMethodError
 from dispatchkit.indexing import index_shape
 from dispatchkit.lattice import make_tuple
+from dispatchkit.minilang import MethodDef, Program, parse
 from dispatchkit.ndarray import Range, Shape, iota
 from dispatchkit.preludes import RULE_NAMES, UnknownRuleError, prelude_source
 from dispatchkit.runtime import EvalError, Runtime
 from dispatchkit.values import type_of
+
+from test_inference import _gen_program
 
 
 @pytest.fixture
@@ -291,3 +299,105 @@ class TestCallDepth:
         with pytest.raises(EvalError, match="^call depth exceeded$"):
             rt.call("g")
         assert rt.call("length", 7) == 1
+
+
+class TestCompiledBodies:
+    """Method bodies run compiled from their first call on; top-level
+    expressions are walked. Both must be observably the same."""
+
+    EDGE_EXPRESSIONS = [
+        "nope(1)", "tuple(1...)", "tuple(1, 2.5...)", "y", "(1:2):3", "1:2.5",
+        "3:1", 'error("boom")', 'sum("a")', "length(1, 2)",
+        "tuple(size(1:3)..., 2)", "tuple((1, 2)..., ()...)",
+        "index_shape(1:4, 2, 1:3)", "sum((1, 2.5)..., length(2:5))",
+    ]
+
+    @staticmethod
+    def _outcome(ev, thunk):
+        events = []
+        ev.observer = lambda e, m, args, r: events.append(
+            (e, m, type(args), repr(args), repr(r)))
+        try:
+            out = ("value", repr(thunk()))
+        except Exception as err:  # compared, not hidden
+            out = ("error", type(err), str(err), getattr(err, "loc", None))
+        finally:
+            ev.observer = None
+        return out, events
+
+    def _check(self, rt, expr):
+        ev = rt._evaluator
+        walked = self._outcome(ev, lambda: ev.run_items(Program([expr]))[0])
+        probe = ev.define(MethodDef("probe", [], expr, expr.loc))
+        compiled = self._outcome(ev, probe.fn)
+        assert compiled == walked
+        return walked
+
+    def test_walked_and_compiled_agree_on_generated_programs(self):
+        rng = random.Random(20261019)
+        kinds, observed = set(), 0
+        for _ in range(150):
+            rt = Runtime()
+            prog = rt.load_definitions(_gen_program(rng))
+            for item in prog.items:
+                if not isinstance(item, MethodDef):
+                    out, events = self._check(rt, item)
+                    kinds.add(out[0])
+                    observed += len(events)
+        assert kinds == {"value", "error"}
+        assert observed > 1000
+
+    @pytest.mark.parametrize("source", EDGE_EXPRESSIONS)
+    def test_walked_and_compiled_agree_on_edge_cases(self, source):
+        rt = Runtime()
+        self._check(rt, parse(source).items[0])
+
+    def test_errors_inside_bodies_are_located_at_their_call(self, rt):
+        rt.run("h(x) = later(x)\nk(t) = tuple(t...)\nr(x) = 1:x")
+        for call, message in [
+            ("h(1)", "line 1, column 8: unknown function later"),
+            ("k(1)", "line 2, column 15: only tuples can be spliced"),
+            ("r(2.5)", "line 3, column 9: range endpoints must be integers"),
+        ]:
+            with pytest.raises(EvalError) as e:
+                rt.run(call)
+            assert str(e.value) == message
+        rt.run("later(x) = x + 1")
+        assert rt.run("h(1)") == [2]
+
+    def test_define_compiles_nothing_and_a_body_compiles_once(self, monkeypatch):
+        compiled = []
+        real = runtime.Evaluator._compile_body
+        monkeypatch.setattr(runtime.Evaluator, "_compile_body",
+                            lambda self, d: compiled.append(d.fname) or real(self, d))
+        rt = Runtime()
+        rt.load_definitions("f(x) = x + 1\ng(x) = f(x)")
+        assert compiled == []
+        assert rt.run("g(1)\ng(2)") == [2, 3]
+        assert rt.call("g", 3) == 4
+        assert compiled == ["g", "f"]
+
+    def test_redefinition_between_calls_takes_effect(self, rt):
+        rt.run("f(x) = 1\ng(x) = f(x) + 10")
+        assert rt.run("g(0)") == [11]
+        rt.run("f(x) = 2")
+        assert rt.run("g(0)") == [12]
+        rt.run("f(x::Int) = 3")
+        assert rt.run("g(0)\ng(0.5)") == [13, 12]
+        rt.run("g(x) = f(x)")
+        assert rt.run("g(0)") == [3]
+
+    def test_300_deep_chain_runs_at_the_default_recursion_limit(self):
+        # a fresh interpreter, so the test runner's own frames do not count
+        chain = "".join(f"c{i}(x) = c{i + 1}(x)\n" for i in range(300))
+        code = (
+            "import sys\n"
+            "from dispatchkit import Runtime\n"
+            "assert sys.getrecursionlimit() == 1000\n"
+            "rt = Runtime()\n"
+            f"print(rt.run({chain!r} + 'c300(x) = x\\nc0(7)'), rt.run('c0(8)'))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[7] [8]\n"
