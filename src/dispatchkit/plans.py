@@ -133,8 +133,8 @@ class _Compiler:
                 if not isinstance(self.state.infer_expr(x, env), TupleType):
                     raise _Unplannable(e.fname)
             parts.append((self._expr(x, env, slots), spliced))
-        args = arg_tuple(parts)
+        build = arg_tuple(parts)
         if body is None:
             fn = m.fn
-            return lambda a: fn(*args(a))
-        return lambda a: body(args(a))
+            return lambda a: fn(*build(a))
+        return lambda a: body(build(a))
