@@ -25,7 +25,7 @@ from .dispatch import FunctionTable, Method
 from .inference import InferenceState
 from .lattice import Bottom, TupleType, make_tuple, meet
 from .minilang import Call, Ident, Lit, Splice
-from .runtime import arg_tuple, base_functions, param_slots, promote_shape
+from .runtime import _param_slots, base_functions, promote_shape
 
 __all__ = ["MAX_PLAN_INDEXES", "shape_plan"]
 
@@ -106,7 +106,7 @@ class _Compiler:
             self.fresh[key] = None
             body = self.fresh[key] = self._expr(m.body.body,
                                                 self.state.bind(m, narrowed),
-                                                param_slots(m.body.params))
+                                                _param_slots(m.body.params))
         return body
 
     def _expr(self, e, env: dict, slots: dict) -> Callable:
@@ -133,8 +133,32 @@ class _Compiler:
                 if not isinstance(self.state.infer_expr(x, env), TupleType):
                     raise _Unplannable(e.fname)
             parts.append((self._expr(x, env, slots), spliced))
-        build = arg_tuple(parts)
         if body is None:
-            fn = m.fn
-            return lambda a: fn(*build(a))
-        return lambda a: body(build(a))
+            return _site(m.fn, parts)
+        if [s for _, s in parts] == [True]:
+            f = parts[0][0]
+            return lambda a: body(f(a))
+        return _site(lambda *xs: body(xs), parts)
+
+
+def _site(fn, parts) -> Callable:
+    """`fn` applied to the arguments the parts compute from the positional
+    argument tuple, splicing the parts marked so. Only the argument
+    patterns the packaged preludes use are compiled."""
+    pattern = tuple(s for _, s in parts)
+    fs = [f for f, _ in parts]
+    if pattern == ():
+        return lambda a: fn()
+    if pattern == (False,):
+        f, = fs
+        return lambda a: fn(f(a))
+    if pattern == (True,):
+        f, = fs
+        return lambda a: fn(*f(a))
+    if pattern == (False, True):
+        f, g = fs
+        return lambda a: fn(f(a), *g(a))
+    if pattern == (True, True):
+        f, g = fs
+        return lambda a: fn(*f(a), *g(a))
+    raise _Unplannable(f"argument pattern {pattern}")

@@ -27,8 +27,8 @@ from .ndarray import NdArray, Range, Shape
 from .preludes import prelude_source
 from .values import FLOAT, INT, INTEGER, INT_ARRAY, RANGE, REAL, STRING
 
-__all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "arg_tuple",
-           "base_functions", "param_slots", "promote_shape"]
+__all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "base_functions",
+           "promote_shape"]
 
 
 class LangError(Exception):
@@ -58,7 +58,7 @@ def promote_shape(v):
     return tuple.__new__(Shape, v)  # the extents were just checked
 
 
-def param_slots(params) -> dict:
+def _param_slots(params) -> dict:
     """Each parameter name mapped to a getter of its value from the
     positional argument tuple: `itemgetter(k)`, or the tuple `a[k:]` for
     a variadic parameter. A later parameter of the same name wins."""
@@ -66,33 +66,20 @@ def param_slots(params) -> dict:
             for k, p in enumerate(params)}
 
 
-def arg_tuple(parts) -> Callable:
+def _arg_tuple(parts) -> Callable:
     """The function from a positional argument tuple to the argument tuple
     of one call. `parts` lists (closure, spliced) pairs in argument order;
     each closure takes the positional tuple, and a spliced one returns a
-    tuple whose elements are inserted in its place. The argument counts
-    bodies use most get a closure of their own."""
+    tuple whose elements are inserted in its place. One spliced argument
+    and two plain ones, the patterns that carry most calls, get a closure
+    of their own (see ROADMAP item 2); a loop builds the rest."""
     pattern = tuple(s for _, s in parts)
     fs = [f for f, _ in parts]
-    if pattern == ():
-        return lambda a: ()
     if pattern == (True,):
         return fs[0]
-    if pattern == (False,):
-        f, = fs
-        return lambda a: (f(a),)
     if pattern == (False, False):
         f, g = fs
         return lambda a: (f(a), g(a))
-    if pattern == (False, False, False):
-        f, g, h = fs
-        return lambda a: (f(a), g(a), h(a))
-    if pattern == (False, True):
-        f, g = fs
-        return lambda a: (f(a), *g(a))
-    if pattern == (True, True):
-        f, g = fs
-        return lambda a: (*f(a), *g(a))
 
     def build(a):
         out = []
@@ -152,8 +139,7 @@ class Evaluator:
 
     def _compile_body(self, d: MethodDef) -> Callable:
         """`d`'s body as a function of the positional argument tuple."""
-        tail = d.params[-1].name if d.params and d.params[-1].variadic else None
-        body = self._compile(d.body, param_slots(d.params), tail)
+        body = self._compile(d.body, _param_slots(d.params))
         if d.fname == "index_shape":
             return lambda a: promote_shape(body(a))
         return body
@@ -193,37 +179,35 @@ class Evaluator:
 
     # ------------------------------------------------------ the compiler
 
-    def _compile(self, e, slots: dict, tail: Optional[str]) -> Callable:
+    def _compile(self, e, slots: dict) -> Callable:
         """`e` as a function of the positional argument tuple. `slots` maps
-        the parameters to their getters; `tail` names the variadic one."""
+        the parameters to their getters."""
         kind = type(e)
         if kind is Call:
-            return self._site(e, slots, tail)
+            return self._site(e, slots)
         if kind is Ident and e.name in slots:
             return slots[e.name]
         if kind is Lit:
             v = e.value
             return lambda a: v
         if kind is RangeLit:
-            lo = self._compile(e.lo, slots, tail)
-            hi = self._compile(e.hi, slots, tail)
+            lo = self._compile(e.lo, slots)
+            hi = self._compile(e.hi, slots)
             return lambda a: _range(e, lo(a), hi(a))
         # an unbound identifier or a node no body holds: the walker's error
         return lambda a: self.eval(e)
 
-    def _site(self, e: Call, slots: dict, tail: Optional[str]) -> Callable:
+    def _site(self, e: Call, slots: dict) -> Callable:
         """The call `e` as a function of the positional argument tuple. Its
         generic function is looked up until found, then kept."""
         parts = []
         for x in e.args:
             if type(x) is not Splice:
-                parts.append((self._compile(x, slots, tail), False))
-            elif type(x.expr) is Ident and x.expr.name == tail:
-                parts.append((slots[tail], True))  # always a tuple
+                parts.append((self._compile(x, slots), False))
             else:
-                f = self._compile(x.expr, slots, tail)
+                f = self._compile(x.expr, slots)
                 parts.append(((lambda a, f=f, x=x: _spliced(x, f(a))), True))
-        build = arg_tuple(parts)
+        build = _arg_tuple(parts)
         apply = self._apply
         gf = self.functions.lookup(e.fname)
 
