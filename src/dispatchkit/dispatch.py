@@ -50,6 +50,9 @@ __all__ = [
     "dispatch_call",
 ]
 
+# several times the largest memo a benchmark workload builds (under 900)
+_MEMO_LIMIT = 4096
+
 
 class DispatchError(Exception):
     pass
@@ -193,6 +196,8 @@ class GenericFunction:
             return self._select_uncached(make_tuple(key))
         m = self._cache.get(key)
         if m is None:
+            if len(self._cache) >= _MEMO_LIMIT:
+                self._cache.clear()
             m = self._cache[key] = self._select_uncached(make_tuple(key))
         return m
 
@@ -212,6 +217,8 @@ class GenericFunction:
             if m is not None:
                 return m
             if kinds.keys() >= set(key):
+                if len(self._cache) >= _MEMO_LIMIT:
+                    self._cache.clear()
                 m = self._cache[key] = self._select_uncached(
                     make_tuple(tuple([type_of(a, kinds) for a in args])))
                 return m

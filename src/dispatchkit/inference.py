@@ -70,6 +70,7 @@ __all__ = [
 _ACTIVE, _PROVISIONAL, _DONE = range(3)
 
 _ITERATION_CAP = 100
+_INSTANTIATION_BUDGET = 64  # distinct instances per generic function
 _NO_LINK = 1 << 30  # lowlink of a frame that consumed no unfinished result
 
 
@@ -137,14 +138,12 @@ def splice_types(t: TypeExpr):
 
 
 class InferenceState:
-    def __init__(self, functions: FunctionTable, widen_max_fixed: int = 8,
-                 instantiation_budget: int = 64):
+    def __init__(self, functions: FunctionTable, widen_max_fixed: int = 8):
         if widen_max_fixed < 0:
             raise ValueError(f"widen_max_fixed must not be negative: {widen_max_fixed}")
         self.functions = functions
         self.types = functions.types
         self.max_fixed = widen_max_fixed
-        self.budget = instantiation_budget
         self.frames: dict[tuple, _Frame] = {}
         self.stack: list[_Frame] = []
         self.active_args: list[tuple] = []  # (gf name, arg TupleType)
@@ -302,7 +301,7 @@ class InferenceState:
         return t
 
     def _over_budget(self, gf: GenericFunction) -> bool:
-        return self.per_gf_instances.get(gf.name, 0) > self.budget
+        return self.per_gf_instances.get(gf.name, 0) > _INSTANTIATION_BUDGET
 
     def _infer_instance(self, gf: GenericFunction, m: Method,
                         narrowed: TupleType) -> TypeExpr:
@@ -320,7 +319,7 @@ class InferenceState:
             return fr.result
 
         n = self.per_gf_instances[gf.name] = self.per_gf_instances.get(gf.name, 0) + 1
-        if n == self.budget + 1:
+        if n == _INSTANTIATION_BUDGET + 1:
             self.budget_crossings += 1
         self.instantiations += 1
         fr = _Frame(key, _ACTIVE, Bottom, index=len(self.stack))

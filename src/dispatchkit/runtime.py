@@ -7,7 +7,10 @@ incrementally; their definitions extend the function table and their
 top-level expressions evaluate through the dispatch engine, so every
 call in a trace went through the same method selection as `select`.
 Method bodies are compiled on their first call; top-level expressions
-are walked (see Evaluator).
+are walked, and walked and compiled calls share one dispatcher (see
+Evaluator). `_compile_expr` is the one compiler from minilang syntax to
+closures: the evaluator gives it call sites that dispatch, and shape
+plans (see plans) give it call sites that inference has bound.
 
 Native methods carry a transfer annotation: the result type as a
 function of the (already narrowed) argument tuple type. The inference
@@ -66,31 +69,69 @@ def _param_slots(params) -> dict:
             for k, p in enumerate(params)}
 
 
-def _arg_tuple(parts) -> Callable:
-    """The function from a positional argument tuple to the argument tuple
-    of one call. `parts` lists (closure, spliced) pairs in argument order;
-    each closure takes the positional tuple, and a spliced one returns a
-    tuple whose elements are inserted in its place. One spliced argument
-    and two plain ones, the patterns that carry most calls, get a closure
-    of their own (see ROADMAP item 2); a loop builds the rest."""
+def _call(fn, parts) -> Callable:
+    """`fn` applied to the arguments of one call, as a function of the
+    positional argument tuple. `parts` lists (closure, spliced) pairs in
+    argument order; each closure takes the positional tuple, and a
+    spliced one returns a tuple whose elements are passed in its place.
+    The patterns the evaluator's and the plans' calls use most get a
+    closure of their own (see ROADMAP item 2); a loop builds the rest."""
     pattern = tuple(s for _, s in parts)
     fs = [f for f, _ in parts]
+    if pattern == ():
+        return lambda a: fn()
+    if pattern == (False,):
+        f, = fs
+        return lambda a: fn(f(a))
     if pattern == (True,):
-        return fs[0]
+        f, = fs
+        return lambda a: fn(*f(a))
     if pattern == (False, False):
         f, g = fs
-        return lambda a: (f(a), g(a))
+        return lambda a: fn(f(a), g(a))
+    if pattern == (False, True):
+        f, g = fs
+        return lambda a: fn(f(a), *g(a))
+    if pattern == (True, True):
+        f, g = fs
+        return lambda a: fn(*f(a), *g(a))
 
-    def build(a):
-        out = []
+    def call(a):
+        args = []
         for f, spliced in parts:
             if spliced:
-                out.extend(f(a))
+                args.extend(f(a))
             else:
-                out.append(f(a))
-        return tuple(out)
+                args.append(f(a))
+        return fn(*args)
 
-    return build
+    return call
+
+
+def _compile_expr(e, slots: dict, site: Callable) -> Callable:
+    """`e` as a function of the positional argument tuple. `slots` maps
+    the parameters to their getters; `site(call, parts)` builds each call
+    from its arguments' (closure, spliced) pairs."""
+    kind = type(e)
+    if kind is Call:
+        return site(e, [(_compile_expr(x.expr, slots, site), True)
+                        if type(x) is Splice
+                        else (_compile_expr(x, slots, site), False)
+                        for x in e.args])
+    if kind is Ident and e.name in slots:
+        return slots[e.name]
+    if kind is Lit:
+        v = e.value
+        return lambda a: v
+    if kind is RangeLit:
+        lo = _compile_expr(e.lo, slots, site)
+        hi = _compile_expr(e.hi, slots, site)
+        return lambda a: _range(e, lo(a), hi(a))
+
+    def fail(a):  # an unbound identifier or a node no body holds
+        raise _unevaluable(e)
+
+    return fail
 
 
 class Evaluator:
@@ -100,8 +141,8 @@ class Evaluator:
     positional argument tuple, and the method's `fn` is replaced by the
     compiled body; `define` compiles nothing. Top-level expressions run
     once, so `run_items` walks their syntax trees instead. Both reach
-    every call through `_apply`, which dispatches, converts errors to
-    EvalError at the call's location and notifies the observer.
+    every call through a `_dispatcher`, which dispatches, converts errors
+    to EvalError at the call's location and notifies the observer.
     """
 
     def __init__(self, functions: FunctionTable,
@@ -139,7 +180,7 @@ class Evaluator:
 
     def _compile_body(self, d: MethodDef) -> Callable:
         """`d`'s body as a function of the positional argument tuple."""
-        body = self._compile(d.body, _param_slots(d.params))
+        body = _compile_expr(d.body, _param_slots(d.params), self._site)
         if d.fname == "index_shape":
             return lambda a: promote_shape(body(a))
         return body
@@ -168,78 +209,54 @@ class Evaluator:
                     args.extend(_spliced(x, self.eval(x.expr)))
                 else:
                     args.append(self.eval(x))
-            return self._apply(e, self._function(e), tuple(args))
+            return self._dispatcher(e)(*args)
         if kind is Lit:
             return e.value
         if kind is RangeLit:
             return _range(e, self.eval(e.lo), self.eval(e.hi))
-        if kind is Ident:
-            raise EvalError(f"unbound identifier {e.name}", e.loc)
-        raise EvalError(f"cannot evaluate {e!r}", getattr(e, "loc", None))
+        raise _unevaluable(e)
 
-    # ------------------------------------------------------ the compiler
+    # ------------ compiled call sites, and the dispatcher the walker shares
 
-    def _compile(self, e, slots: dict) -> Callable:
-        """`e` as a function of the positional argument tuple. `slots` maps
-        the parameters to their getters."""
-        kind = type(e)
-        if kind is Call:
-            return self._site(e, slots)
-        if kind is Ident and e.name in slots:
-            return slots[e.name]
-        if kind is Lit:
-            v = e.value
-            return lambda a: v
-        if kind is RangeLit:
-            lo = self._compile(e.lo, slots)
-            hi = self._compile(e.hi, slots)
-            return lambda a: _range(e, lo(a), hi(a))
-        # an unbound identifier or a node no body holds: the walker's error
-        return lambda a: self.eval(e)
+    def _site(self, e: Call, parts: list) -> Callable:
+        """The call `e` of a compiled body, dispatched on every call."""
+        parts = [((lambda a, f=f, x=x: _spliced(x, f(a))), True) if spliced
+                 else (f, False)
+                 for (f, spliced), x in zip(parts, e.args)]
+        return _call(self._dispatcher(e), parts)
 
-    def _site(self, e: Call, slots: dict) -> Callable:
-        """The call `e` as a function of the positional argument tuple. Its
-        generic function is looked up until found, then kept."""
-        parts = []
-        for x in e.args:
-            if type(x) is not Splice:
-                parts.append((self._compile(x, slots), False))
-            else:
-                f = self._compile(x.expr, slots)
-                parts.append(((lambda a, f=f, x=x: _spliced(x, f(a))), True))
-        build = _arg_tuple(parts)
-        apply = self._apply
-        gf = self.functions.lookup(e.fname)
+    def _dispatcher(self, e: Call) -> Callable:
+        """`dispatch(*args)`: the call `e` on `args`. Its generic function
+        is looked up until found, then kept."""
+        functions = self.functions
+        gf = functions.lookup(e.fname)
 
-        def site(a):
+        def dispatch(*args):
             nonlocal gf
-            args = build(a)
             if gf is None:
-                gf = self._function(e)
-            return apply(e, gf, args)
+                gf = functions.lookup(e.fname)
+                if gf is None:
+                    raise EvalError(f"unknown function {e.fname}", e.loc)
+            try:
+                m = gf.method_for_args(args)
+            except (TypeError, DispatchError) as err:  # TypeError: from type_of
+                raise EvalError(str(err), e.loc) from None
+            try:
+                result = m.fn(*args)
+            except (DispatchError, LangError) as err:
+                raise EvalError(str(err), e.loc) from None
+            if self.observer is not None:
+                self.observer(e, m, args, result)
+            return result
 
-        return site
+        return dispatch
 
-    # ------------------------------------------- shared by walker and sites
 
-    def _function(self, e: Call):
-        gf = self.functions.lookup(e.fname)
-        if gf is None:
-            raise EvalError(f"unknown function {e.fname}", e.loc)
-        return gf
-
-    def _apply(self, e: Call, gf, args: tuple):
-        try:
-            m = gf.method_for_args(args)
-        except (TypeError, DispatchError) as err:  # TypeError: from type_of
-            raise EvalError(str(err), e.loc) from None
-        try:
-            result = m.fn(*args)
-        except (DispatchError, LangError) as err:
-            raise EvalError(str(err), e.loc) from None
-        if self.observer is not None:
-            self.observer(e, m, args, result)
-        return result
+def _unevaluable(e) -> EvalError:
+    """The error for an expression that has no value where it stands."""
+    if type(e) is Ident:
+        return EvalError(f"unbound identifier {e.name}", e.loc)
+    return EvalError(f"cannot evaluate {e!r}", getattr(e, "loc", None))
 
 
 def _spliced(x: Splice, v) -> tuple:

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import dispatchkit.dispatch as dispatch
 from dispatchkit.dispatch import (
     AmbiguityError,
     DefinitionError,
@@ -19,6 +20,7 @@ from dispatchkit.dispatch import (
 )
 from dispatchkit.lattice import ANY, Named, TupleType, TypeTable, make_tuple, subtype
 from dispatchkit.ndarray import Range, Shape, iota
+from dispatchkit.runtime import Runtime
 from dispatchkit.values import FLOAT, INT, INT_ARRAY, RANGE, STRING, type_of
 
 from oracles import small_universe
@@ -221,6 +223,18 @@ class TestCache:
         assert summer._cache == {}
         summer.select(make_tuple((INT, INT)))
         assert len(summer._cache) == 1
+
+    def test_memo_is_bounded(self):
+        # 13 ints or floats: 8192 distinct argument lists, of a tuple type
+        # for f (keyed on concrete types) and of classes for g
+        rt = Runtime()
+        rt.run("f(t) = 1\ng(xs...) = 2")
+        lists = [tuple(1 if k >> b & 1 else 1.0 for b in range(13))
+                 for k in range(6000)]
+        for name, want, call in [("f", 1, lambda xs: rt.call("f", xs)),
+                                 ("g", 2, lambda xs: rt.call("g", *xs))]:
+            assert all(call(xs) == want for xs in lists)
+            assert 0 < len(rt.functions.lookup(name)._cache) <= dispatch._MEMO_LIMIT
 
 
 class TestFunctionTable:

@@ -9,15 +9,17 @@ import random
 import pytest
 
 import dispatchkit.indexing as indexing
+import dispatchkit.plans as plans
 import dispatchkit.runtime as runtime
 from dispatchkit.dispatch import DefinitionError, signature
 from dispatchkit.indexing import getindex, index_shape, rule_names
 from dispatchkit.minilang import MethodDef, parse
+from dispatchkit.lattice import make_tuple
 from dispatchkit.ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, iota, zeros
 from dispatchkit.plans import shape_plan
 from dispatchkit.preludes import UnknownRuleError, prelude_source
 from dispatchkit.runtime import EvalError, Runtime
-from dispatchkit.values import RANGE
+from dispatchkit.values import INT, RANGE
 from dispatchkit.views import COLON, to_array, view
 
 from oracles import getindex_oracle, index_shape_oracle
@@ -359,6 +361,16 @@ def test_a_plan_that_raises_takes_the_generic_call(monkeypatch):
     assert index_shape("apl", [Range(1, 3), iota((2, 2))]) == Shape((3, 2, 2))
     with pytest.raises(EvalError, match="no method matching size"):
         index_shape("apl", ["a"])
+
+
+def test_plans_compile_every_argument_pattern_and_range():
+    # plain, plain, plain, spliced, plain: the pattern the loop builds
+    rt = Runtime()
+    rt.run("f(x::Int) = tuple(x, 1, x + 1, (x, 2)..., length(1:x))")
+    _, body = plans._Compiler(rt.functions).bound(rt.functions.lookup("f"),
+                                                  make_tuple((INT,)))
+    assert body is not None
+    assert body((3,)) == rt.call("f", 3) == (3, 1, 4, 3, 2, 3)
 
 
 @pytest.mark.parametrize("rule", rule_names())

@@ -310,6 +310,9 @@ class TestCompiledBodies:
         "3:1", 'error("boom")', 'sum("a")', "length(1, 2)",
         "tuple(size(1:3)..., 2)", "tuple((1, 2)..., ()...)",
         "index_shape(1:4, 2, 1:3)", "sum((1, 2.5)..., length(2:5))",
+        # one for each argument pattern of runtime._call, and the loop
+        "tuple()", "length(2)", "tuple(1, (2, 3)...)", "sum(1, 2, 3)",
+        "tuple((1,)..., 2)", "tuple((1,)..., 3...)",
     ]
 
     @staticmethod
