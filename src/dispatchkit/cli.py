@@ -55,10 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--index-rule", choices=RULE_NAMES,
                        default="trailing-drop",
                        help="index_shape rule set (default: trailing-drop)")
-        p.add_argument("--widen-max-fixed", type=count, default=8,
-                       metavar="N",
-                       help="tuple widening threshold for inference "
-                            "(default: 8)")
         p.add_argument("--format", choices=("text", "json-lines"),
                        default="text", help="output format (default: text)")
 
@@ -70,6 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer = sub.add_parser("infer", help="type-infer a program file")
     p_infer.add_argument("file")
     common(p_infer)
+    p_infer.add_argument("--widen-max-fixed", type=count, default=8,
+                         metavar="N",
+                         help="tuple widening threshold for inference "
+                              "(default: 8)")
     p_infer.set_defaults(fn=_cmd_infer)
 
     p_metrics = sub.add_parser("metrics", help="dispatch metrics over a "
@@ -100,14 +100,9 @@ def _read(path: str) -> str:
                          f"{err.reason})") from None
 
 
-def _runtime(args) -> Runtime:
-    return Runtime(index_rule=args.index_rule,
-                   widen_max_fixed=args.widen_max_fixed)
-
-
 def _cmd_run(args) -> int:
     source = _read(args.file)
-    rt = _runtime(args)
+    rt = Runtime(index_rule=args.index_rule)
     try:
         trace = rt.run(source)
     except EvalError as err:
@@ -123,9 +118,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_infer(args) -> int:
     source = _read(args.file)
-    rt = _runtime(args)
+    rt = Runtime(index_rule=args.index_rule)
     prog = rt.load_definitions(source)
-    report = infer_program(rt.functions, prog.items, rt.widen_max_fixed)
+    report = infer_program(rt.functions, prog.items, args.widen_max_fixed)
     for site in report.sites:
         if args.format == "json-lines":
             print(json.dumps({
@@ -145,7 +140,7 @@ def _cmd_infer(args) -> int:
 def _cmd_metrics(args) -> int:
     if args.self_scan:
         label = "self"
-        corpus = corpus_of(_runtime(args).functions)
+        corpus = corpus_of(Runtime(index_rule=args.index_rule).functions)
     elif args.corpus:
         label = Path(args.corpus).name
         corpus = parse_corpus(_read(args.corpus))

@@ -195,10 +195,13 @@ class GenericFunction:
         if not self.cache_enabled:
             return self._select_uncached(make_tuple(key))
         m = self._cache.get(key)
-        if m is None:
-            if len(self._cache) >= _MEMO_LIMIT:
-                self._cache.clear()
-            m = self._cache[key] = self._select_uncached(make_tuple(key))
+        return m if m is not None else self._memo_miss(key, key)
+
+    def _memo_miss(self, key: tuple, arg_types: tuple) -> Method:
+        """Select for `arg_types`, memoized under `key`; a full memo is cleared first."""
+        if len(self._cache) >= _MEMO_LIMIT:
+            self._cache.clear()
+        m = self._cache[key] = self._select_uncached(make_tuple(arg_types))
         return m
 
     def method_for_args(self, args) -> Method:
@@ -217,11 +220,7 @@ class GenericFunction:
             if m is not None:
                 return m
             if kinds.keys() >= set(key):
-                if len(self._cache) >= _MEMO_LIMIT:
-                    self._cache.clear()
-                m = self._cache[key] = self._select_uncached(
-                    make_tuple(tuple([type_of(a, kinds) for a in args])))
-                return m
+                return self._memo_miss(key, tuple([type_of(a, kinds) for a in args]))
         return self.method_for(tuple([type_of(a, kinds) for a in args]))
 
     def select(self, arg_types: TupleType) -> Method:

@@ -60,20 +60,25 @@ def index_shape(rule: str, indices) -> Shape:
         raise EvalError("call depth exceeded") from None
 
 
-def _steps(idx: IndexArg, dim: int, extent: int, stride: int):
-    """Each subscript the index selects along one dimension times the
-    stride, after the bounds check: a range for a Range, a list otherwise.
-    Each error names the first bad element in index order."""
+def _check_index(idx, dim: int, extent: int) -> None:
+    """Check an Int or Range index along one dimension: a BoundsError names
+    the first bad element; a bool or any other kind is a TypeError."""
     if isinstance(idx, bool):
         raise TypeError("booleans are not indexes")
     if isinstance(idx, int):
         if not 1 <= idx <= extent:
             raise BoundsError(dim, idx, extent)
-        return [idx * stride]
-    if isinstance(idx, Range):
+    elif isinstance(idx, Range):
         if idx.length > 0 and (idx.lo < 1 or idx.hi > extent):
             raise BoundsError(dim, idx.lo if not 1 <= idx.lo <= extent else extent + 1, extent)
-        return strided(idx.lo * stride, idx.length, stride)
+    else:
+        raise TypeError(f"not an index: {idx!r}")
+
+
+def _steps(idx: IndexArg, dim: int, extent: int, stride: int):
+    """Each subscript the index selects along one dimension times the
+    stride, after the bounds check: a range for a Range, a list otherwise.
+    Each error names the first bad element in index order."""
     if isinstance(idx, NdArray):
         values = idx.buffer
         if not all(map(float.is_integer, values)):
@@ -83,7 +88,10 @@ def _steps(idx: IndexArg, dim: int, extent: int, stride: int):
         if subs and (min(subs) < 1 or max(subs) > extent):
             raise BoundsError(dim, next(i for i in subs if not 1 <= i <= extent), extent)
         return subs if stride == 1 else [i * stride for i in subs]
-    raise TypeError(f"not an index: {idx!r}")
+    _check_index(idx, dim, extent)
+    if isinstance(idx, Range):
+        return strided(idx.lo * stride, idx.length, stride)
+    return [idx * stride]
 
 
 def getindex(a: NdArray, indices, rule="trailing-drop") -> NdArray:

@@ -87,15 +87,36 @@ class Range:
         return f"{self.lo}:{self.hi}"
 
 
+def _checked_extents(extents) -> tuple:
+    """`extents` as a tuple, checked to be non-negative integers unless it
+    is a Shape, which was checked when it was built."""
+    if type(extents) is Shape:
+        return tuple(extents)
+    extents = tuple(extents)
+    for e in extents:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise ValueError(f"shape extents must be non-negative integers, got {e!r}")
+    return extents
+
+
+def _flat_position(subscript, shape, strides, offset: int = 0) -> int:
+    """offset + sum((i - 1) * stride) for a 1-based subscript, after the
+    rank check and a BoundsError naming the first bad element."""
+    if len(subscript) != len(shape):
+        raise RankMismatchError(len(shape), len(subscript))
+    flat = offset
+    for dim, (i, extent, stride) in enumerate(zip(subscript, shape, strides), start=1):
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= extent:
+            raise BoundsError(dim, i, extent)
+        flat += (i - 1) * stride
+    return flat
+
+
 class Shape(tuple):
     """An ordered sequence of non-negative extents."""
 
     def __new__(cls, extents: Iterable[int] = ()):
-        extents = tuple(extents)
-        for e in extents:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"shape extents must be non-negative integers, got {e!r}")
-        return super().__new__(cls, extents)
+        return super().__new__(cls, _checked_extents(extents))
 
     def __repr__(self):
         return "Shape(" + ", ".join(str(e) for e in self) + ")"
@@ -126,10 +147,7 @@ class NdArray:
         return a
 
     def _fill(self, shape, buffer: tuple):
-        shape = tuple(shape)
-        for e in shape:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(f"extents must be non-negative integers, got {e!r}")
+        shape = _checked_extents(shape)
         if len(buffer) != _product(shape):
             raise ValueError(
                 f"buffer has {len(buffer)} elements but shape {shape} needs {_product(shape)}"
@@ -158,14 +176,7 @@ class NdArray:
         return self._strides
 
     def linear_index(self, subscript: Sequence[int]) -> int:
-        if len(subscript) != len(self.shape):
-            raise RankMismatchError(len(self.shape), len(subscript))
-        flat = 0
-        for k, i in enumerate(subscript):
-            if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= self.shape[k]:
-                raise BoundsError(k + 1, i, self.shape[k])
-            flat += (i - 1) * self._strides[k]
-        return flat
+        return _flat_position(subscript, self.shape, self._strides)
 
     def get(self, subscript: Sequence[int]) -> float:
         return self.buffer[self.linear_index(subscript)]

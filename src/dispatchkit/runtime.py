@@ -20,7 +20,8 @@ engine consults it where a minilang body would otherwise be walked.
 from __future__ import annotations
 
 import functools
-from operator import itemgetter
+import math
+from operator import add, itemgetter
 from typing import Callable, Optional
 
 from .dispatch import DispatchError, FunctionTable, MethodSignature, dispatch_call
@@ -268,32 +269,22 @@ def _spliced(x: Splice, v) -> tuple:
 
 
 def _range(e: RangeLit, lo, hi) -> Range:
-    if not isinstance(lo, int) or not isinstance(hi, int) \
-            or isinstance(lo, bool) or isinstance(hi, bool):
-        raise EvalError("range endpoints must be integers", e.loc)
     try:
         return Range(lo, hi)
-    except ValueError as err:
+    except (TypeError, ValueError) as err:
         raise EvalError(str(err), e.loc) from None
 
 
 # ------------------------------------------------------------- natives
 
 
-def _compensated_sum(*xs) -> float:
-    total = 0.0
-    c = 0.0
-    for x in xs:
-        x = float(x)
-        t = total + x
-        # track the rounding error of each addition; the comparison picks
-        # the operand big enough to absorb the other without losing bits
-        if abs(total) >= abs(x):
-            c += (total - t) + x
-        else:
-            c += (x - t) + total
-        total = t
-    return total + c
+def _real_sum(*xs) -> float:
+    """The correctly rounded sum; where `math.fsum` raises on an infinite
+    or undefined result, the IEEE inf or nan that left-to-right `+` gives."""
+    try:
+        return math.fsum(xs)
+    except (OverflowError, ValueError):
+        return functools.reduce(add, map(float, xs), 0.0)
 
 
 def _droptrail1(t: tuple) -> tuple:
@@ -343,7 +334,7 @@ def base_functions(rule: str) -> FunctionTable:
 
     ft.define("sum", sig((INTEGER,), True), lambda *xs: sum(xs),
               transfer=fixed(INT))
-    ft.define("sum", sig((REAL,), True), _compensated_sum,
+    ft.define("sum", sig((REAL,), True), _real_sum,
               transfer=fixed(FLOAT))
 
     def droptrail1_transfer(args: TupleType, ctx):

@@ -24,8 +24,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .indexing import index_shape
-from .ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, gather, strided
+from .indexing import _check_index, index_shape
+from .ndarray import NdArray, Range, RankMismatchError, Shape, _flat_position, gather, strided
 
 __all__ = [
     "COLON",
@@ -94,24 +94,6 @@ def _layout(a):
     raise TypeError(f"not an array or view: {a!r}")
 
 
-def _check_indices(indices, shape):
-    if len(indices) != len(shape):
-        raise RankMismatchError(len(shape), len(indices))
-    for dim, (idx, extent) in enumerate(zip(indices, shape), start=1):
-        if idx is COLON:
-            continue
-        if isinstance(idx, bool):
-            raise TypeError("booleans are not indexes")
-        if isinstance(idx, int):
-            if not 1 <= idx <= extent:
-                raise BoundsError(dim, idx, extent)
-        elif isinstance(idx, Range):
-            if idx.length > 0 and (idx.lo < 1 or idx.hi > extent):
-                raise BoundsError(dim, idx, extent)
-        else:
-            raise TypeError(f"not a view index: {idx!r}")
-
-
 def contrank(a, indices) -> int:
     """Leading COLON count, capped by the argument's own contiguous rank."""
     _, _, shape, _ = _layout(a)
@@ -128,10 +110,20 @@ def contrank(a, indices) -> int:
 
 
 def view(a, indices, rule="trailing-drop") -> ArrayView:
-    """Build a view; no elements are copied. The shape is the rule's `index_shape`."""
+    """Build a view; no elements are copied. The shape is the rule's
+    `index_shape`; a bad Int or Range index raises what getindex raises."""
     base, offset, shape, strides = _layout(a)
-    _check_indices(indices, shape)
-    full = [Range(1, extent) if idx is COLON else idx for idx, extent in zip(indices, shape)]
+    if len(indices) != len(shape):
+        raise RankMismatchError(len(shape), len(indices))
+    full = []
+    for dim, (idx, extent) in enumerate(zip(indices, shape), start=1):
+        if idx is COLON:
+            idx = Range(1, extent)
+        elif isinstance(idx, NdArray):
+            raise TypeError(f"not a view index: {idx!r}")
+        else:
+            _check_index(idx, dim, extent)
+        full.append(idx)
     out_shape = index_shape(rule, full)
     out_strides = []
     for idx, stride in zip(full, strides):
@@ -150,14 +142,7 @@ def view(a, indices, rule="trailing-drop") -> ArrayView:
 
 
 def view_get(v: ArrayView, subscript):
-    if len(subscript) != len(v.shape):
-        raise RankMismatchError(len(v.shape), len(subscript))
-    flat = v.offset
-    for dim, (j, extent) in enumerate(zip(subscript, v.shape), start=1):
-        if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= extent:
-            raise BoundsError(dim, j, extent)
-        flat += (j - 1) * v.strides[dim - 1]
-    return v.base.buffer[flat]
+    return v.base.buffer[_flat_position(subscript, v.shape, v.strides, v.offset)]
 
 
 def to_array(v: ArrayView) -> NdArray:

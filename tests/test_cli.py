@@ -269,6 +269,15 @@ class TestFlags:
         assert "argument --widen-max-fixed: must not be negative" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv", [["run", "p.mjl"], ["metrics", "--self"], ["view-demo"]])
+    def test_widen_threshold_only_on_infer(self, tmp_path, capsys, argv):
+        f = _write(tmp_path, "p.mjl", "1 + 1\n")
+        argv = [f if a == "p.mjl" else a for a in argv]
+        assert main(argv + ["--widen-max-fixed", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --widen-max-fixed" in captured.err
+
     def test_zero_widen_threshold_accepted(self, tmp_path, capsys):
         f = _write(tmp_path, "p.mjl", "f(x) = x\nf(x, r...) = f(r...)\nf(1, 2, 3)\n")
         assert main(["infer", f, "--widen-max-fixed", "0"]) == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import subprocess
@@ -73,9 +74,6 @@ class TestNatives:
         assert got == 10.0
 
     def test_sum_tracks_exact_summation(self, rt):
-        import math
-        import random
-
         rng = random.Random(7)
         for _ in range(20):
             xs = [rng.uniform(-1, 1) * 10 ** rng.randrange(-8, 12)
@@ -83,6 +81,14 @@ class TestNatives:
             got = rt.call("sum", *xs)
             want = math.fsum(xs)
             assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    def test_sum_overflow_is_ieee_inf(self, rt):
+        x = "1" + "0" * 308 + ".0"  # 1e308 written out
+        assert rt.run(f"sum({x}, {x})") == [math.inf] == rt.run(f"{x} + {x}")
+
+    def test_sum_of_infinities_is_ieee(self, rt):
+        assert rt.call("sum", math.inf, 1.0) == math.inf
+        assert math.isnan(rt.call("sum", math.inf, -math.inf))
 
     def test_error_native(self, rt):
         with pytest.raises(EvalError) as e:

@@ -249,3 +249,56 @@ def test_fuzz_views_follow_the_rule(rule):
             assert materialize_view(v) == list(got.buffer)
             assert v.crank == crank_oracle(v.shape, v.strides)
             parent = got
+
+
+def _random_any_indices(rng: random.Random, shape):
+    """COLON, Int and Range indexes in and out of bounds, empty ranges
+    anywhere, now and then a bool or a float, and now and then one index
+    too few."""
+    out = []
+    for extent in shape:
+        k = rng.randrange(20)
+        if k < 6:
+            out.append(COLON)
+        elif k < 11:
+            out.append(rng.randint(0, extent + 1))
+        elif k < 18:
+            lo = rng.randint(0, extent + 1)
+            out.append(Range(lo, rng.randint(lo - 1, extent + 1)))
+        elif k == 18:
+            out.append(rng.random() < 0.5)
+        else:
+            out.append(float(rng.randint(1, max(extent, 1))))
+    if out and rng.random() < 0.03:
+        out.pop(rng.randrange(len(out)))
+    return out
+
+
+def _outcome(f):
+    try:
+        return f()
+    except Exception as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("rule", RULE_NAMES)
+def test_views_and_getindex_agree_on_every_index_list(rule):
+    """Copying a view, or a view of a view, gives what getindex gives for
+    the same indexes and rule, or both raise the same error and message."""
+    rng = random.Random(4242 + RULE_NAMES.index(rule))
+    raised = set()
+    for _ in range(300):
+        shape = tuple(rng.randrange(5) for _ in range(rng.randrange(1, 5)))
+        a = iota(shape)
+        v, parent = a, a
+        for _ in range(rng.randint(1, 2)):
+            indices = _random_any_indices(rng, parent.shape)
+            full = _as_getindex_indices(indices, parent.shape)
+            got = _outcome(lambda: to_array(view(v, indices, rule)))
+            want = _outcome(lambda: getindex(parent, full, rule))
+            assert got == want, (rule, shape, indices)
+            if not isinstance(got, NdArray):
+                raised.add(got[0])
+                break
+            v, parent = view(v, indices, rule), got
+    assert raised == {BoundsError, RankMismatchError, TypeError}
