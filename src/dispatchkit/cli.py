@@ -27,7 +27,7 @@ from .metrics import (
     parse_corpus,
     render_table,
 )
-from .minilang import ParseError
+from .minilang import MethodDef, ParseError, parse
 from .ndarray import Range, Shape, iota
 from .preludes import RULE_NAMES, UnknownRuleError
 from .runtime import EvalError, Runtime
@@ -108,11 +108,18 @@ def _cmd_run(args) -> int:
     except EvalError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    for v in trace:
-        if args.format == "json-lines":
-            print(json.dumps({"value": render_value(v)}))
-        else:
-            print(render_value(v))
+    lines = []
+    for k, v in enumerate(trace):
+        try:
+            lines.append(render_value(v))
+        except ValueError:  # str() of an Int past the interpreter's digit limit
+            exprs = [it for it in parse(source).items if not isinstance(it, MethodDef)]
+            err = EvalError(f"an Int of more than {sys.get_int_max_str_digits()} "
+                            "digits cannot be printed", exprs[k].loc)
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+    for line in lines:
+        print(json.dumps({"value": line}) if args.format == "json-lines" else line)
     return 0
 
 

@@ -12,8 +12,8 @@ The methods called are those of the rule's frozen `base_functions`.
 An index list of at most `plans.MAX_PLAN_INDEXES` indexes whose classes
 have a shape plan runs that plan: the same methods, bound ahead of time
 by inference, so the chain neither dispatches nor walks syntax trees.
-Every other list, and any list whose plan raises, takes the generic
-call, which raises the documented error.
+Every other list takes the generic call, which raises the documented
+error. The length gate keeps longer lists out of the plan cache.
 """
 
 from __future__ import annotations
@@ -51,10 +51,7 @@ def index_shape(rule: str, indices) -> Shape:
         if len(indices) <= MAX_PLAN_INDEXES:
             plan = shape_plan(rule, tuple(map(type, indices)))
             if plan is not None:
-                try:
-                    return plan(*indices)
-                except Exception:
-                    pass  # the generic call below raises the documented error
+                return plan(*indices)
         return base_functions(rule).lookup("index_shape")(*indices)
     except RecursionError:
         raise EvalError("call depth exceeded") from None

@@ -117,12 +117,6 @@ class InferenceReport:
     def render_lines(self) -> list[str]:
         return [s.render() for s in self.sites]
 
-    def site_at(self, line: int, col: int) -> Optional[SiteReport]:
-        for s in self.sites:
-            if s.loc == (line, col):
-                return s
-        return None
-
 
 def splice_types(t: TypeExpr):
     """Abstract argument sequence (fixed list, tail) for a spliced value.

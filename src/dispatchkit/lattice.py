@@ -171,7 +171,6 @@ class TypeTable:
         t.declare("Float", "Real")
         t.declare("Range", "Any")
         t.declare("IntArray", "Any")
-        t.declare("Shape", "Any")
         t.declare("String", "Any")
         return t
 

@@ -288,7 +288,11 @@ class _Parser:
             return Ident(t[1], t[2:])
         if kind == "INT":
             self.pos += 1
-            return Lit(int(t[1]), t[2:])
+            try:
+                return Lit(int(t[1]), t[2:])
+            except ValueError:  # more digits than the interpreter converts
+                raise ParseError(f"integer literal of {len(t[1])} digits is too long",
+                                 *t[2:]) from None
         if kind == "FLOAT":
             self.pos += 1
             return Lit(float(t[1]), t[2:])

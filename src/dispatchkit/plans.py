@@ -13,7 +13,7 @@ result is promoted to Shape once, at the top.
 A plan runs the rule's own methods, so it computes what the generic
 call computes; the base is frozen, so a plan never goes stale. A chain
 with a call inference cannot bind gets no plan, and `indexing.index_shape`
-takes the generic call, as it does for a plan that raises.
+takes the generic call.
 """
 
 from __future__ import annotations

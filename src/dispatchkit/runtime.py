@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .dispatch import DispatchError, FunctionTable, MethodSignature, dispatch_call
@@ -261,10 +261,8 @@ def _unevaluable(e) -> EvalError:
 
 
 def _spliced(x: Splice, v) -> tuple:
-    if type(v) is tuple:
+    if isinstance(v, tuple):  # a Shape splices as it is
         return v
-    if isinstance(v, tuple):  # a Shape
-        return tuple(v)
     raise EvalError("only tuples can be spliced", x.loc)
 
 
@@ -278,19 +276,24 @@ def _range(e: RangeLit, lo, hi) -> Range:
 # ------------------------------------------------------------- natives
 
 
+def _real_add(a, b) -> float:
+    try:
+        return float(a) + float(b)
+    except OverflowError:
+        raise LangError("Int too large to convert to Float") from None
+
+
 def _real_sum(*xs) -> float:
     """The correctly rounded sum; where `math.fsum` raises on an infinite
     or undefined result, the IEEE inf or nan that left-to-right `+` gives."""
     try:
         return math.fsum(xs)
     except (OverflowError, ValueError):
-        return functools.reduce(add, map(float, xs), 0.0)
+        return functools.reduce(_real_add, xs, 0.0)
 
 
 def _droptrail1(t: tuple) -> tuple:
-    for x in t:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise LangError("droptrail1 expects a tuple of integers")
+    """`t` without its trailing 1s; dispatch on `(Int...)` checked `t`."""
     k = len(t)
     while k > 0 and t[k - 1] == 1:
         k -= 1
@@ -324,8 +327,7 @@ def base_functions(rule: str) -> FunctionTable:
               transfer=fixed(int_tuple))
 
     ft.define("+", sig((INT, INT)), lambda a, b: a + b, transfer=fixed(INT))
-    ft.define("+", sig((REAL, REAL)), lambda a, b: float(a) + float(b),
-              transfer=fixed(FLOAT))
+    ft.define("+", sig((REAL, REAL)), _real_add, transfer=fixed(FLOAT))
 
     def _error(msg):
         raise LangError(msg)

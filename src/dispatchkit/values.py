@@ -3,8 +3,8 @@
 Every value the evaluator can produce has exactly one concrete type:
 ints are Int, floats are Float, strings are String, ranges are Range,
 arrays are IntArray. Shape values and plain tuples both map to the
-tuple type of their elements; Shape stays a distinct value kind only so
-the array layer can recognize index results.
+tuple type of their elements, so there is no Shape type; Shape stays a
+distinct host class only so the array layer can recognize index results.
 
 The kinds a value may have are a map from host class to type.
 HOST_KINDS is the read-only default; each FunctionTable holds its own
@@ -29,7 +29,6 @@ __all__ = [
     "STRING",
     "RANGE",
     "INT_ARRAY",
-    "SHAPE",
     "HOST_KINDS",
     "type_of",
     "render_value",
@@ -42,7 +41,6 @@ REAL = Named("Real")
 STRING = Named("String")
 RANGE = Named("Range")
 INT_ARRAY = Named("IntArray")
-SHAPE = Named("Shape")
 
 # the value kinds whose type follows from their class; subclasses of these
 # classes (but not of bool, which is no runtime value) take the same type
@@ -78,6 +76,4 @@ def render_value(v) -> str:
         if len(v) == 1:
             return "(" + render_value(v[0]) + ",)"
         return "(" + ", ".join(render_value(x) for x in v) + ")"
-    if isinstance(v, (Range, NdArray)):
-        return repr(v)
     return repr(v)

@@ -251,6 +251,46 @@ class TestFileEncoding:
             f"error: {f}: not UTF-8 text (byte 0: invalid start byte)\n"
 
 
+_HUGE = "1" + "0" * 400  # an Int too large for a Float
+
+
+class TestHugeNumbers:
+    """A number a Float or a decimal string cannot hold is a documented
+    error, not a traceback."""
+
+    @pytest.mark.parametrize("source, loc", [
+        (f"{_HUGE} + 1.5\n", "line 1, column 403"),
+        (f"sum({_HUGE}, 1.5)\n", "line 1, column 1"),
+        (f"f(x) = x + 1.5\nf({_HUGE})\n", "line 1, column 10"),
+    ], ids=["plus", "sum", "body"])
+    def test_int_too_large_for_a_float_exit_1(self, tmp_path, capsys, source, loc):
+        f = _write(tmp_path, "big.mjl", source)
+        assert main(["run", f]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {loc}: Int too large to convert to Float\n"
+
+    @pytest.mark.parametrize("command", ["run", "infer"])
+    def test_int_literal_past_the_digit_limit_exit_2(self, tmp_path, capsys, command):
+        f = _write(tmp_path, "long.mjl", "f(x) = x\nf(" + "7" * 4301 + ")\n")
+        assert main([command, f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "syntax error: line 2, column 3: integer literal of 4301 digits is too long")
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("fmt", ["text", "json-lines"])
+    def test_int_result_past_the_digit_limit_exit_1(self, tmp_path, capsys, fmt):
+        n = "9" * 4300
+        f = _write(tmp_path, "sum.mjl", f"1\n{n} + {n}\n")
+        assert main(["run", f, "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 2, column 4302: an Int of more than "
+                                "4300 digits cannot be printed\n")
+
+
 class TestFlags:
     def test_unknown_flag_exit_2(self, capsys):
         assert main(["run", "x.mjl", "--bogus"]) == 2
@@ -293,20 +333,30 @@ class TestFlags:
 _FUZZ_TOKEN = re.compile(r"\n|\.\.\.|::|\w+(?:\.\w+)?|\"[^\"\n]*\"|\S")
 
 
+# a 400-digit Int (too large for a Float), an Int literal past the
+# interpreter's 4,300-digit conversion limit, and a Float of 310 digits
+_EXTREME_LITERALS = ("1" + "0" * 400, "7" * 4301, "9" * 310 + ".5")
+
+
 def _mutate(rng: random.Random, source: str) -> str:
-    """Drop, duplicate or truncate tokens of a program."""
+    """Drop, duplicate or truncate tokens of a program, or replace a
+    number with an extreme literal."""
     tokens = _FUZZ_TOKEN.findall(source)
     for _ in range(rng.randint(1, 3)):
         if not tokens:
             break
         k = rng.randrange(len(tokens))
-        move = rng.choice(["drop", "duplicate", "truncate"])
+        move = rng.choice(["drop", "duplicate", "truncate", "extreme"])
         if move == "drop":
             del tokens[k]
         elif move == "duplicate":
             tokens.insert(k, tokens[k])
-        else:
+        elif move == "truncate":
             tokens = tokens[:k]
+        else:
+            numbers = [i for i, t in enumerate(tokens) if t[0].isdigit()]
+            if numbers:
+                tokens[rng.choice(numbers)] = rng.choice(_EXTREME_LITERALS)
     return " ".join(tokens)
 
 

@@ -314,8 +314,9 @@ class TestMakeTuple:
 
 class TestTypeTable:
     def test_prelude_names(self, table):
-        for name in ("Any", "Real", "Integer", "Int", "Float", "Range", "IntArray", "Shape", "String"):
+        for name in ("Any", "Real", "Integer", "Int", "Float", "Range", "IntArray", "String"):
             assert table.declared(name)
+        assert not table.declared("Shape")
         assert table.is_abstract("Real")
         assert not table.is_abstract("Int")
 

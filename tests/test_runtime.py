@@ -14,7 +14,7 @@ import dispatchkit.runtime as runtime
 from dispatchkit.dispatch import NoMethodError
 from dispatchkit.indexing import index_shape
 from dispatchkit.lattice import make_tuple
-from dispatchkit.minilang import MethodDef, Program, parse
+from dispatchkit.minilang import MethodDef, ParseError, Program, parse
 from dispatchkit.ndarray import Range, Shape, iota
 from dispatchkit.preludes import RULE_NAMES, UnknownRuleError, prelude_source
 from dispatchkit.runtime import EvalError, Runtime
@@ -102,6 +102,33 @@ class TestNatives:
         assert rt.call("droptrail1", ()) == ()
 
 
+class TestHugeNumbers:
+    HUGE = 10 ** 400  # an Int too large for a Float
+
+    @pytest.mark.parametrize("source", [
+        f"{HUGE} + 1.5", f"1.5 + {HUGE}", f"sum({HUGE}, 1.5)", f"sum(1.5, 2, {HUGE})",
+        f"f(x) = x + 1.5\nf({HUGE})"], ids=["int+float", "float+int", "sum", "sum3", "body"])
+    def test_float_conversion_is_a_located_error(self, rt, source):
+        with pytest.raises(EvalError, match=r"^line \d+, column \d+: "
+                                            "Int too large to convert to Float$"):
+            rt.run(source)
+
+    @pytest.mark.parametrize("name, args", [
+        ("+", (HUGE, 1.5)), ("+", (1.5, HUGE)), ("sum", (HUGE, 1.5))])
+    def test_float_conversion_through_call_is_a_lang_error(self, rt, name, args):
+        with pytest.raises(runtime.LangError, match="Int too large to convert to Float"):
+            rt.call(name, *args)
+
+    def test_int_arithmetic_is_exact(self, rt):
+        assert rt.call("+", self.HUGE, 1) == self.HUGE + 1
+        assert rt.run(f"sum({self.HUGE}, 1, 2)") == [self.HUGE + 3]
+
+    def test_int_literal_past_the_digit_limit_is_a_parse_error(self, rt):
+        with pytest.raises(ParseError, match="line 1, column 5: integer literal "
+                                             "of 4301 digits is too long"):
+            rt.run("sum(" + "7" * 4301 + ")")
+
+
 class TestIndexShapeRules:
     def test_trailing_rank_triple(self, rt):
         a = rt.run("index_shape(1:5, 1:3, 2)")[0]
@@ -180,6 +207,13 @@ class TestUserPrograms:
         with pytest.raises(EvalError) as e:
             rt.run("f(x::Widget) = x")
         assert "unknown type Widget" in str(e.value)
+
+    def test_shape_is_not_a_type(self, rt):
+        # a Shape is a tuple to dispatch, so no parameter can name its type
+        with pytest.raises(EvalError) as e:
+            rt.run("g(x) = x\nf(x::Shape) = 1")
+        assert str(e.value) == "line 2, column 1: unknown type Shape"
+        assert rt.run("g(size(1:3))") == [Shape((3,))]
 
     def test_splice_requires_tuple(self, rt):
         with pytest.raises(EvalError) as e:
