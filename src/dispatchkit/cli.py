@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .indexing import getindex
 from .inference import infer_program
-from .lattice import render_type
+from .lattice import WIDEN_MAX_FIXED, render_type
 from .metrics import (
     CorpusFormatError,
     EmptyCorpusError,
@@ -66,10 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_infer = sub.add_parser("infer", help="type-infer a program file")
     p_infer.add_argument("file")
     common(p_infer)
-    p_infer.add_argument("--widen-max-fixed", type=count, default=8,
+    p_infer.add_argument("--widen-max-fixed", type=count, default=WIDEN_MAX_FIXED,
                          metavar="N",
                          help="tuple widening threshold for inference "
-                              "(default: 8)")
+                              "(default: %(default)s)")
     p_infer.set_defaults(fn=_cmd_infer)
 
     p_metrics = sub.add_parser("metrics", help="dispatch metrics over a "

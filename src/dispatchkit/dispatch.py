@@ -47,6 +47,7 @@ __all__ = [
     "GenericFunction",
     "FunctionTable",
     "more_specific",
+    "outranked",
     "dispatch_call",
 ]
 
@@ -121,10 +122,19 @@ def signature(*params: TypeExpr, variadic: bool = False,
     return MethodSignature(tuple(params), variadic, tuple(specialized or ()))
 
 
+def _precedes(ta: TypeExpr, tb: TypeExpr, table: TypeTable) -> bool:
+    return signature_subtype(ta, tb, table) and not signature_subtype(tb, ta, table)
+
+
 def more_specific(a: MethodSignature, b: MethodSignature, table: TypeTable) -> bool:
     """True iff a strictly precedes b in the signature order."""
-    ta, tb = a.as_tuple_type(), b.as_tuple_type()
-    return signature_subtype(ta, tb, table) and not signature_subtype(tb, ta, table)
+    return _precedes(a.as_tuple_type(), b.as_tuple_type(), table)
+
+
+def outranked(m: Method, rivals, table: TypeTable) -> bool:
+    """True iff some other method of `rivals` strictly precedes `m`: the
+    one precedence test of dispatch (`select`) and of inference."""
+    return any(o is not m and _precedes(o.sig_tuple, m.sig_tuple, table) for o in rivals)
 
 
 @dataclass
@@ -235,13 +245,7 @@ class GenericFunction:
                                 else (arg_types,))
         if len(candidates) == 1:
             return candidates[0]
-        winners = [
-            m for m in candidates
-            if not any(
-                more_specific(o.signature, m.signature, self.types)
-                for o in candidates if o is not m
-            )
-        ]
+        winners = [m for m in candidates if not outranked(m, candidates, self.types)]
         if len(winners) == 1:
             return winners[0]
         raise AmbiguityError(self.name, arg_types.fixed if arg_types.tail is None

@@ -41,9 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dispatch import FunctionTable, GenericFunction, Method, more_specific
+from .dispatch import FunctionTable, GenericFunction, Method, outranked
 from .lattice import (
     ANY,
+    WIDEN_MAX_FIXED,
     Bottom,
     TupleType,
     TypeExpr,
@@ -56,7 +57,7 @@ from .lattice import (
 )
 from .minilang import Call, Ident, Lit, MethodDef, RangeLit, Splice
 from .runtime import EvalError
-from .values import FLOAT, INT, RANGE, STRING
+from .values import INT, RANGE, type_of
 
 __all__ = [
     "InferenceState",
@@ -132,7 +133,7 @@ def splice_types(t: TypeExpr):
 
 
 class InferenceState:
-    def __init__(self, functions: FunctionTable, widen_max_fixed: int = 8):
+    def __init__(self, functions: FunctionTable, widen_max_fixed: int = WIDEN_MAX_FIXED):
         if widen_max_fixed < 0:
             raise ValueError(f"widen_max_fixed must not be negative: {widen_max_fixed}")
         self.functions = functions
@@ -152,11 +153,6 @@ class InferenceState:
 
     # ---------------------------------------------------------- helpers
 
-    def _widen(self, t: TypeExpr) -> TypeExpr:
-        if isinstance(t, TupleType):
-            return widen(t, self.max_fixed, self.types)
-        return t
-
     def _record_site(self, node: Call, static_method, result, splice_elidable):
         v = self.sites.get(id(node))
         if v is not None:  # a call in a body outside the analyzed items
@@ -168,11 +164,7 @@ class InferenceState:
 
     def infer_expr(self, e, env: dict) -> TypeExpr:
         if isinstance(e, Lit):
-            if isinstance(e.value, int):
-                return INT
-            if isinstance(e.value, float):
-                return FLOAT
-            return STRING
+            return type_of(e.value)
         if isinstance(e, Ident):
             return env.get(e.name, Bottom)
         if isinstance(e, RangeLit):
@@ -202,37 +194,28 @@ class InferenceState:
         elided. Arguments after a Bottom one are not inferred."""
         fixed: list = []
         tail: Optional[TypeExpr] = None
-        dead = False
         elidable = True
         for a in node.args:
-            if isinstance(a, Splice):
-                t = self.infer_expr(a.expr, env)
-                if t is Bottom:
-                    dead = True
-                    break
-                sp_fixed, sp_tail = splice_types(t)
-                if not isinstance(t, TupleType) or sp_tail is not None:
+            spliced = isinstance(a, Splice)
+            t = self.infer_expr(a.expr if spliced else a, env)
+            if t is Bottom:
+                return Bottom, elidable
+            if spliced:
+                a_fixed, a_tail = splice_types(t)
+                if not isinstance(t, TupleType) or a_tail is not None:
                     elidable = False
-                if tail is None:
-                    fixed.extend(sp_fixed)
-                    tail = sp_tail
-                else:
-                    for x in sp_fixed:
-                        tail = join(tail, x, self.types)
-                    if sp_tail is not None:
-                        tail = join(tail, sp_tail, self.types)
             else:
-                t = self.infer_expr(a, env)
-                if t is Bottom:
-                    dead = True
-                    break
-                if tail is None:
-                    fixed.append(t)
-                else:
-                    tail = join(tail, t, self.types)
-        if dead:
-            return Bottom, elidable
-        return self._widen(make_tuple(tuple(fixed), tail)), elidable
+                a_fixed, a_tail = (t,), None
+            # once a tail has begun, every later element joins it
+            if tail is None:
+                fixed.extend(a_fixed)
+                tail = a_tail
+            else:
+                for x in a_fixed:
+                    tail = join(tail, x, self.types)
+                if a_tail is not None:
+                    tail = join(tail, a_tail, self.types)
+        return widen(make_tuple(tuple(fixed), tail), self.max_fixed, self.types), elidable
 
     # ------------------------------------------------------------- calls
 
@@ -271,12 +254,8 @@ class InferenceState:
             return None, None
         covering = [m for m, _ in potential
                     if subtype(arg_type, m.sig_tuple, self.types)]
-        survivors = tuple(
-            (m, nt) for m, nt in potential
-            if not any(o is not m and more_specific(o.signature, m.signature,
-                                                    self.types)
-                       for o in covering)
-        )
+        survivors = tuple((m, nt) for m, nt in potential
+                          if not outranked(m, covering, self.types))
         static = None
         if len(survivors) == 1 and survivors[0][0] in covering:
             static = survivors[0][0]
@@ -361,7 +340,7 @@ class InferenceState:
     def _run_body(self, gf: GenericFunction, m: Method,
                   narrowed: TupleType) -> TypeExpr:
         if m.transfer is not None:
-            return self._widen(m.transfer(narrowed, self))
+            return widen(m.transfer(narrowed, self), self.max_fixed, self.types)
         if m.body is None:
             return ANY
         env = self.bind(m, narrowed)
@@ -382,12 +361,12 @@ class InferenceState:
             env[d.params[k].name] = narrowed.fixed[k]
         if sig.variadic:
             rest = make_tuple(narrowed.fixed[n_fixed:], narrowed.tail)
-            env[d.params[-1].name] = self._widen(rest)
+            env[d.params[-1].name] = widen(rest, self.max_fixed, self.types)
         return env
 
 
 def infer_call_type(functions: FunctionTable, name: str, arg_type: TypeExpr,
-                    widen_max_fixed: int = 8):
+                    widen_max_fixed: int = WIDEN_MAX_FIXED):
     """One-off query: (result type, static method or None)."""
     gf = functions.lookup(name)
     if gf is None:
@@ -407,7 +386,7 @@ def _walk_calls(e, out: list):
 
 
 def infer_program(functions: FunctionTable, items,
-                  widen_max_fixed: int = 8) -> InferenceReport:
+                  widen_max_fixed: int = WIDEN_MAX_FIXED) -> InferenceReport:
     """Annotate every call site of the given program items.
 
     `items` are parsed statements (definitions and expressions); the

@@ -42,6 +42,7 @@ __all__ = [
     "join",
     "meet",
     "widen",
+    "WIDEN_MAX_FIXED",
     "render_type",
 ]
 
@@ -396,6 +397,11 @@ def _tuple_meet(a: TupleType, b: TupleType, table) -> TypeExpr:
         t = meet(a.tail, b.tail, table)
         tail = None if t is Bottom else t
     return make_tuple(fixed, tail)
+
+
+# the default widening bound: inference keeps this many tuple slots exact,
+# so shape plans, which need exact types, serve at most this many indexes
+WIDEN_MAX_FIXED = 8
 
 
 def widen(t: TypeExpr, max_fixed: int, table: TypeTable) -> TypeExpr:

@@ -21,6 +21,7 @@ per column rather than one index operation per element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
@@ -42,9 +43,22 @@ __all__ = [
 ]
 
 
+def _shown(v, text=str) -> str:
+    """text(v), or for an Int past the interpreter's str() digit limit,
+    its sign and number of digits: "-<an Int of 5001 digits>"."""
+    try:
+        return text(v)
+    except ValueError:
+        n = abs(v)
+        digits = int(math.log10(n)) + 1  # the float log may be off by one
+        digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))
+        return f"{'-' * (v < 0)}<an Int of {digits} digits>"
+
+
 class BoundsError(IndexError):
     def __init__(self, dim: int, value, extent: int):
-        super().__init__(f"index {value} out of bounds for dimension {dim} with extent {extent}")
+        super().__init__(f"index {_shown(value)} out of bounds for dimension {dim} "
+                         f"with extent {extent}")
         self.dim = dim
         self.value = value
         self.extent = extent
@@ -74,7 +88,7 @@ class Range:
                 if not isinstance(e, int) or isinstance(e, bool):
                     raise TypeError("range endpoints must be integers")
         if hi < lo - 1:
-            raise ValueError(f"descending range {lo}:{hi}")
+            raise ValueError(f"descending range {_shown(lo)}:{_shown(hi)}")
 
     @property
     def length(self) -> int:
@@ -95,7 +109,7 @@ def _checked_extents(extents) -> tuple:
     extents = tuple(extents)
     for e in extents:
         if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-            raise ValueError(f"shape extents must be non-negative integers, got {e!r}")
+            raise ValueError(f"shape extents must be non-negative integers, got {_shown(e, repr)}")
     return extents
 
 

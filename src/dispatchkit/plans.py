@@ -23,15 +23,14 @@ from typing import Callable, Optional
 
 from .dispatch import FunctionTable, Method
 from .inference import InferenceState
-from .lattice import Bottom, TupleType, make_tuple, meet
+from .lattice import WIDEN_MAX_FIXED, Bottom, TupleType, make_tuple, meet
 from .minilang import Call, Splice
 from .runtime import _call, _compile_expr, _param_slots, base_functions, promote_shape
 
 __all__ = ["MAX_PLAN_INDEXES", "shape_plan"]
 
-# inference keeps this many tuple slots exact (its default widening
-# bound); a longer index list would be analysed on a widened type
-MAX_PLAN_INDEXES = 8
+# a longer index list would be analysed on a widened type
+MAX_PLAN_INDEXES = WIDEN_MAX_FIXED
 
 
 class _Unplannable(Exception):

@@ -1,19 +1,16 @@
-"""Packaged indexing rule sets, one minilang prelude per rule."""
+"""Packaged indexing rule sets, one minilang prelude per rule.
+
+Rule `r`'s prelude is the file `preludes/<r with "-" as "_">.mjl` next to
+this module.
+"""
 
 from __future__ import annotations
 
-from importlib import resources
+from pathlib import Path
 
 __all__ = ["RULE_NAMES", "UnknownRuleError", "prelude_source"]
 
 RULE_NAMES = ("trailing-drop", "all-drop", "apl", "drop-size1")
-
-_FILES = {
-    "trailing-drop": "trailing_drop.mjl",
-    "all-drop": "all_drop.mjl",
-    "apl": "apl.mjl",
-    "drop-size1": "drop_size1.mjl",
-}
 
 
 class UnknownRuleError(ValueError):
@@ -24,10 +21,7 @@ class UnknownRuleError(ValueError):
 
 
 def prelude_source(rule: str) -> str:
-    fname = _FILES.get(rule)
-    if fname is None:
+    if rule not in RULE_NAMES:
         raise UnknownRuleError(rule)
-    return (
-        resources.files("dispatchkit").joinpath("preludes").joinpath(fname)
-        .read_text(encoding="utf-8")
-    )
+    path = Path(__file__).with_name("preludes") / f"{rule.replace('-', '_')}.mjl"
+    return path.read_text(encoding="utf-8")

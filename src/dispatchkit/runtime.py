@@ -25,7 +25,8 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .dispatch import DispatchError, FunctionTable, MethodSignature, dispatch_call
-from .lattice import ANY, Bottom, TupleType, TypeTable, UndeclaredTypeError, make_tuple
+from .lattice import (ANY, WIDEN_MAX_FIXED, Bottom, TupleType, TypeTable, UndeclaredTypeError,
+                      make_tuple)
 from .minilang import Call, Ident, Lit, MethodDef, Program, RangeLit, Splice, parse
 from .ndarray import NdArray, Range, Shape
 from .preludes import prelude_source
@@ -348,18 +349,19 @@ def base_functions(rule: str) -> FunctionTable:
 
     Evaluator(ft).run_items(parse(prelude_source(rule)))
     ft.freeze()
+    ft.types.freeze()
     return ft
 
 
 class Runtime:
     """One loaded program: types, functions, active indexing rule."""
 
-    def __init__(self, index_rule: str = "trailing-drop",
-                 widen_max_fixed: int = 8):
+    widen_max_fixed = WIDEN_MAX_FIXED  # the bound to infer this program with
+
+    def __init__(self, index_rule: str = "trailing-drop"):
         self.types = TypeTable.prelude()
         self.functions = FunctionTable(self.types)
         self.index_rule = index_rule
-        self.widen_max_fixed = widen_max_fixed
         self.items: list = []
         self._evaluator = Evaluator(self.functions)
         # share natives; re-define prelude bodies to call through this table

@@ -280,6 +280,16 @@ class TestHugeNumbers:
             "syntax error: line 2, column 3: integer literal of 4301 digits is too long")
         assert "Traceback" not in captured.err
 
+    def test_range_endpoint_past_the_digit_limit_exit_1(self, tmp_path, capsys):
+        n = "9" * 4300
+        f = _write(tmp_path, "range.mjl", f"({n} + {n}):1\n")
+        assert main(["run", f]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: line 1, column 8606: "
+                                "descending range <an Int of 4301 digits>:1\n")
+        assert "Exceeds the limit" not in captured.err
+
     @pytest.mark.parametrize("fmt", ["text", "json-lines"])
     def test_int_result_past_the_digit_limit_exit_1(self, tmp_path, capsys, fmt):
         n = "9" * 4300

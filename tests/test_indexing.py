@@ -50,7 +50,22 @@ class TestIndexShape:
         assert isinstance(index_shape("apl", [3]), Shape)
 
 
+# an Int past the interpreter's 4,300-digit str() limit, as an index
+_HUGE_INDEXES = [
+    (10 ** 5000, 10 ** 5000, "<an Int of 5001 digits>"),
+    (-10 ** 5000, -10 ** 5000, "-<an Int of 5001 digits>"),
+    (Range(10 ** 5000 - 1, 10 ** 5000), 10 ** 5000 - 1, "<an Int of 5000 digits>"),
+]
+
+
 class TestGetindex:
+    @pytest.mark.parametrize("index, value, text", _HUGE_INDEXES, ids=["int", "negative", "range"])
+    def test_index_too_long_to_print_is_a_bounds_error(self, index, value, text):
+        with pytest.raises(BoundsError) as e:
+            getindex(iota((3,)), [index])
+        assert e.value.value == value
+        assert str(e.value) == f"index {text} out of bounds for dimension 1 with extent 3"
+
     def test_plane_copy(self):
         a = iota((4, 5, 6))
         got = getindex(a, [Range(1, 4), Range(1, 5), 2], "trailing-drop")
@@ -360,13 +375,15 @@ def test_an_unplanned_index_takes_the_generic_call():
 
 
 def test_plans_compile_every_argument_pattern_and_range():
-    # plain, plain, plain, spliced, plain: the pattern the loop builds
+    # plain, plain, plain, spliced, plain, plain: the pattern the loop
+    # builds; g is a minilang body called on two plain arguments
     rt = Runtime()
-    rt.run("f(x::Int) = tuple(x, 1, x + 1, (x, 2)..., length(1:x))")
+    rt.run("g(x::Int, y::Int) = x + y\n"
+           "f(x::Int) = tuple(x, 1, x + 1, (x, 2)..., length(1:x), g(x, 2))")
     _, body = plans._Compiler(rt.functions).bound(rt.functions.lookup("f"),
                                                   make_tuple((INT,)))
     assert body is not None
-    assert body((3,)) == rt.call("f", 3) == (3, 1, 4, 3, 2, 3)
+    assert body((3,)) == rt.call("f", 3) == (3, 1, 4, 3, 2, 3, 5)
 
 
 # a few values of each index class, edge cases included

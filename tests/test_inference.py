@@ -174,6 +174,27 @@ class TestProgramReports:
         assert s.render() == "1:1 STATIC sum#1 Int"
         assert report.expr_types == [INT]
 
+    def test_string_literal_type(self):
+        report = _program_report(_rt(), 'f(s::String) = s\nf("a")\n"b"\n')
+        assert report.render_lines() == ["2:1 STATIC f#1 String"]
+        assert report.expr_types == [STRING, STRING]
+
+    def test_arguments_after_a_spliced_tail_join_the_tail(self):
+        # nine arguments widen to eight Int slots and an Int tail, so the
+        # arguments after the splice fold into the tail
+        nine = "f(1, 2, 3, 4, 5, 6, 7, 8, 9)\n"
+        t = "(" + "Int, " * 8 + "Real...)"
+        report = _program_report(_rt(), "f(r...) = tuple(r..., 1.5)\n" + nine)
+        assert report.render_lines() == [f"1:11 STATIC tuple#1 {t}",
+                                         f"2:1 STATIC f#1 {t}"]
+        report = _program_report(_rt(), "f(r...) = tuple(r..., 1.5, (2, 3)...)\n" + nine)
+        assert report.render_lines() == [f"1:11 STATIC tuple#1 {t}",
+                                         "1:28 STATIC tuple#1 (Int, Int)",
+                                         f"2:1 STATIC f#1 {t}"]
+        report = _program_report(_rt(), "f(r...) = tuple(r..., 1.5, r...)\n" + nine)
+        assert report.render_lines() == [f"1:11 STATIC tuple#1 {t}",
+                                         f"2:1 STATIC f#1 {t}"]
+
     def test_splice_apply_identity(self):
         rt = _rt()
         direct = _program_report(_rt(), "q(x::Int, y::Int) = x + y\nq(1, 2)\n")

@@ -95,6 +95,18 @@ class TestErrors:
         with pytest.raises(BoundsError):
             iota((2,)).get((True,))
 
+    def test_ints_too_long_to_print_are_described(self):
+        huge = 10 ** 5000
+        with pytest.raises(BoundsError, match=r"^index <an Int of 5001 digits> out of bounds"):
+            iota((2,)).get((huge,))
+        with pytest.raises(ValueError, match=r"^descending range <an Int of 5001 digits>:1$"):
+            Range(huge, 1)
+        with pytest.raises(ValueError, match=r"got -<an Int of 5001 digits>$"):
+            NdArray((-huge,), [])
+        # the limit is 4,300 digits; shorter Ints print as they are
+        with pytest.raises(BoundsError, match=r"^index 9{4300} out of bounds"):
+            iota((2,)).get((10 ** 4300 - 1,))
+
     def test_immutable(self):
         a = iota((2,))
         with pytest.raises(AttributeError):

@@ -13,7 +13,7 @@ import pytest
 import dispatchkit.runtime as runtime
 from dispatchkit.dispatch import NoMethodError
 from dispatchkit.indexing import index_shape
-from dispatchkit.lattice import make_tuple
+from dispatchkit.lattice import FrozenTableError, make_tuple
 from dispatchkit.minilang import MethodDef, ParseError, Program, parse
 from dispatchkit.ndarray import Range, Shape, iota
 from dispatchkit.preludes import RULE_NAMES, UnknownRuleError, prelude_source
@@ -122,6 +122,13 @@ class TestHugeNumbers:
     def test_int_arithmetic_is_exact(self, rt):
         assert rt.call("+", self.HUGE, 1) == self.HUGE + 1
         assert rt.run(f"sum({self.HUGE}, 1, 2)") == [self.HUGE + 3]
+
+    def test_range_error_describes_an_endpoint_too_long_to_print(self, rt):
+        n = "9" * 4300
+        with pytest.raises(EvalError) as e:
+            rt.run(f"({n} + {n}):1")
+        assert str(e.value) == ("line 1, column 8606: "
+                                "descending range <an Int of 4301 digits>:1")
 
     def test_int_literal_past_the_digit_limit_is_a_parse_error(self, rt):
         with pytest.raises(ParseError, match="line 1, column 5: integer literal "
@@ -291,6 +298,12 @@ class TestFrozenBase:
         rt = Runtime(index_rule=rule)
         assert calls == []
         assert rt.functions.lookup("index_shape") is not None
+
+    @pytest.mark.parametrize("rule", RULE_NAMES)
+    def test_base_type_table_is_frozen(self, rule):
+        with pytest.raises(FrozenTableError):
+            runtime.base_functions(rule).types.declare("Foo", "Any")
+        assert not runtime.base_functions(rule).types.declared("Foo")
 
     @pytest.mark.parametrize("rule", RULE_NAMES)
     def test_natives_shared_and_prelude_bodies_redefined(self, rule):

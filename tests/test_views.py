@@ -21,6 +21,7 @@ from dispatchkit.views import (
 )
 
 from oracles import crank_oracle, materialize_view
+from test_indexing import _HUGE_INDEXES
 
 
 @pytest.fixture
@@ -152,6 +153,13 @@ class TestErrors:
     def test_rank_mismatch(self, a456):
         with pytest.raises(RankMismatchError):
             view(a456, [COLON, COLON])
+
+    @pytest.mark.parametrize("index, value, text", _HUGE_INDEXES, ids=["int", "negative", "range"])
+    def test_index_too_long_to_print_is_a_bounds_error(self, index, value, text):
+        with pytest.raises(BoundsError) as e:
+            view(iota((3,)), [index])
+        assert e.value.value == value
+        assert str(e.value) == f"index {text} out of bounds for dimension 1 with extent 3"
 
     def test_bad_index_kind(self, a456):
         with pytest.raises(TypeError):
