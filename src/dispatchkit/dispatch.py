@@ -7,10 +7,11 @@ is memoized in one dict per generic function. Calls go through
 `GenericFunction.method_for_args`, which `dispatch_call` and the
 evaluator share: it keys the memo on the host classes of the arguments
 when each is one of the function's value kinds (the `kinds` map of its
-FunctionTable, see `values`), the way a polymorphic inline cache keys
-on the receiver's class, and otherwise on the tuple of their concrete
-types, as `method_for` and `select` do. Any (re)definition clears the
-memo, so a warm cache is observationally identical to a cold one.
+FunctionTable, see `values`) or a tuple of them, the way a polymorphic
+inline cache keys on the receiver's class, and otherwise on the tuple
+of their concrete types, as `method_for` and `select` do. Any
+(re)definition clears the memo, so a warm cache is observationally
+identical to a cold one.
 
 Specificity uses the signature order from the lattice module (see the
 note there): it extends strict semantic subtyping so that variadic
@@ -219,17 +220,21 @@ class GenericFunction:
 
         An argument list whose exact classes are all keys of `kinds` is
         memoized on those classes, so a hit builds and hashes no type
-        values. Class keys share the memo with the `type_of` keys of
-        `method_for`, which every other argument list takes, and never
-        equal one.
+        values; one that also holds tuples of such values is memoized on
+        `_tuple_key`. Class and tuple keys share the memo with the
+        `type_of` keys of `method_for`, which every other argument list
+        takes, and never equal one or each other.
         """
         kinds = self.kinds
         if self.cache_enabled:
             key = tuple(map(type, args))
             m = self._cache.get(key)
+            if m is None and not kinds.keys() >= set(key):
+                key = _tuple_key(args, kinds)  # None is no memo key
+                m = self._cache.get(key)
             if m is not None:
                 return m
-            if kinds.keys() >= set(key):
+            if key is not None:
                 return self._memo_miss(key, tuple([type_of(a, kinds) for a in args]))
         return self.method_for(tuple([type_of(a, kinds) for a in args]))
 
@@ -256,6 +261,28 @@ class GenericFunction:
 
     def __repr__(self):
         return f"<generic {self.name} with {len(self.methods)} methods>"
+
+
+def _tuple_key(args, kinds) -> Optional[tuple]:
+    """The memo key of an argument list whose values are each of a value
+    kind or a tuple of values of value kinds: per argument, its class or
+    the tuple of its elements' classes; None for any other list. A tuple
+    of classes equals no class and no type value, so such a key never
+    equals a class key or a `type_of` key. A Shape and a tuple of the
+    same classes share a key, as they share a type."""
+    key = []
+    for a in args:
+        cls = type(a)
+        if cls in kinds:
+            key.append(cls)
+        elif isinstance(a, tuple):
+            classes = tuple(map(type, a))
+            if not kinds.keys() >= set(classes):
+                return None
+            key.append(classes)
+        else:
+            return None
+    return tuple(key)
 
 
 def dispatch_call(gf: GenericFunction, args) -> Any:

@@ -25,6 +25,7 @@ from .ndarray import (
     Range,
     RankMismatchError,
     Shape,
+    _shown,
     gather,
     strided,
 )
@@ -69,7 +70,7 @@ def _check_index(idx, dim: int, extent: int) -> None:
         if idx.length > 0 and (idx.lo < 1 or idx.hi > extent):
             raise BoundsError(dim, idx.lo if not 1 <= idx.lo <= extent else extent + 1, extent)
     else:
-        raise TypeError(f"not an index: {idx!r}")
+        raise TypeError(f"not an index: {_shown(idx, repr)}")
 
 
 def _steps(idx: IndexArg, dim: int, extent: int, stride: int):

@@ -179,7 +179,8 @@ class InferenceState:
         return ANY
 
     def _infer_call_node(self, node: Call, env: dict) -> TypeExpr:
-        arg_type, elidable = self.call_arg_type(node, env)
+        arg_type, unfixed = self.call_arg_type(node, env)
+        elidable = not unfixed
         gf = self.functions.lookup(node.fname)
         if gf is None or arg_type is Bottom:
             self._record_site(node, None, Bottom, elidable)
@@ -190,20 +191,22 @@ class InferenceState:
 
     def call_arg_type(self, node: Call, env: dict):
         """The widened argument tuple type of a call node, Bottom when an
-        argument can produce no value, and whether its splices could be
-        elided. Arguments after a Bottom one are not inferred."""
+        argument can produce no value, and the types of its spliced values
+        that are not tuple types of fixed length: when there are none, its
+        splices could be elided. Arguments after a Bottom one are not
+        inferred."""
         fixed: list = []
         tail: Optional[TypeExpr] = None
-        elidable = True
+        unfixed: tuple = ()
         for a in node.args:
             spliced = isinstance(a, Splice)
             t = self.infer_expr(a.expr if spliced else a, env)
             if t is Bottom:
-                return Bottom, elidable
+                return Bottom, unfixed
             if spliced:
                 a_fixed, a_tail = splice_types(t)
                 if not isinstance(t, TupleType) or a_tail is not None:
-                    elidable = False
+                    unfixed += (t,)
             else:
                 a_fixed, a_tail = (t,), None
             # once a tail has begun, every later element joins it
@@ -215,7 +218,7 @@ class InferenceState:
                     tail = join(tail, x, self.types)
                 if a_tail is not None:
                     tail = join(tail, a_tail, self.types)
-        return widen(make_tuple(tuple(fixed), tail), self.max_fixed, self.types), elidable
+        return widen(make_tuple(tuple(fixed), tail), self.max_fixed, self.types), unfixed
 
     # ------------------------------------------------------------- calls
 

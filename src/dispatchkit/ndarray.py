@@ -45,10 +45,24 @@ __all__ = [
 
 def _shown(v, text=str) -> str:
     """text(v), or for an Int past the interpreter's str() digit limit,
-    its sign and number of digits: "-<an Int of 5001 digits>"."""
+    its sign and number of digits: "-<an Int of 5001 digits>", also as
+    an endpoint of a Range or an element of a tuple, Shape or list:
+    "(<an Int of 5001 digits>, 2)". Any other value whose text raises
+    is shown by its class name: "<a dict>"."""
     try:
         return text(v)
     except ValueError:
+        if isinstance(v, Range):
+            return f"{_shown(v.lo)}:{_shown(v.hi)}"
+        if isinstance(v, (tuple, list)):
+            parts = ", ".join(_shown(x, repr) for x in v)
+            if isinstance(v, Shape):
+                return f"Shape({parts})"
+            if isinstance(v, list):
+                return f"[{parts}]"
+            return f"({parts}{',' * (len(v) == 1)})"
+        if not isinstance(v, int):
+            return f"<a {type(v).__name__}>"
         n = abs(v)
         digits = int(math.log10(n)) + 1  # the float log may be off by one
         digits += (n >= 10 ** digits) - (n < 10 ** (digits - 1))

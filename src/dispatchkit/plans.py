@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .dispatch import FunctionTable, Method
 from .inference import InferenceState
 from .lattice import WIDEN_MAX_FIXED, Bottom, TupleType, make_tuple, meet
-from .minilang import Call, Splice
+from .minilang import Call
 from .runtime import _call, _compile_expr, _param_slots, base_functions, promote_shape
 
 __all__ = ["MAX_PLAN_INDEXES", "shape_plan"]
@@ -102,14 +102,11 @@ class _Compiler:
         """The call `e`, bound to the one method inference proves it
         reaches in a body whose parameters have the types in `env`."""
         gf = self.functions.lookup(e.fname)
-        arg_type, _ = self.state.call_arg_type(e, env)
-        if gf is None or arg_type is Bottom:
+        arg_type, unfixed = self.state.call_arg_type(e, env)
+        # a value spliced by a plan must be a tuple
+        if gf is None or arg_type is Bottom or not all(
+                isinstance(t, TupleType) for t in unfixed):
             raise _Unplannable(e.fname)
-        for x in e.args:
-            # a value spliced by a plan must be a tuple
-            if type(x) is Splice and not isinstance(
-                    self.state.infer_expr(x.expr, env), TupleType):
-                raise _Unplannable(e.fname)
         m, body = self.bound(gf, arg_type)
         if body is None:
             return _call(m.fn, parts)

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+import dispatchkit.cli as cli
 from dispatchkit.cli import main
 
 from test_inference import _gen_program
@@ -336,6 +337,55 @@ class TestFlags:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "run" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """`main` parses with one parser per process; reusing it must give
+    what a fresh parser per call gives."""
+
+    SOURCE = "f(x) = x\nf(x, r...) = f(r...)\nf(1, 2, 3)\n(1, 2.5)\n"
+
+    def test_main_reuses_one_parser(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def sequence(self, f):
+        return [
+            ["infer", f, "--widen-max-fixed", "0"],
+            ["infer", f],
+            ["run", f, "--format", "json-lines"],
+            ["run", f],
+            ["run", f, "--bogus"],
+            ["run", f],
+            ["--help"],
+            ["run", f],
+            ["run", f, "--index-rule", "nope"],
+            ["metrics", "--self"],
+        ]
+
+    def outcomes(self, capsys, argvs):
+        out = []
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    def test_reused_parser_matches_a_fresh_parser_per_call(self, tmp_path, capsys,
+                                                            monkeypatch):
+        argvs = self.sequence(_write(tmp_path, "p.mjl", self.SOURCE))
+        reused = self.outcomes(capsys, argvs)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self.outcomes(capsys, argvs)
+        assert reused == fresh
+        codes = [code for code, _, _ in reused]
+        assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 2, 0]
+        assert reused[0][1] != reused[1][1]  # the bound does not stick
+        assert reused[2][1] != reused[3][1]  # nor does the format
+        assert reused[4][2].startswith("usage: dispatchkit")
+        assert "unrecognized arguments: --bogus" in reused[4][2]
+        assert reused[6][1].startswith("usage: dispatchkit") and not reused[6][2]
+        assert "invalid choice: 'nope'" in reused[8][2]
 
 
 # ------------------------------------------------------------------ fuzz

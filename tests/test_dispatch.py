@@ -290,7 +290,9 @@ class TestHostClassMemo:
 
     VALUES = [0, 3, -1, 2.5, 0.0, "s", "", Range(1, 3), Range(2, 1),
               iota((2,)), iota((1, 2)), True, False, (), (1, 2), (2.5,),
-              ("s", 1), Shape((2, 3)), Shape(()), ((1,), 2.0), ((), ((3,),))]
+              ("s", 1), Shape((2, 3)), Shape(()), ((1,), 2.0), ((), ((3,),)),
+              (1, True), (False,), ((1, 2), 3), (Shape((2,)), 1), (Range(1, 2), 2.5),
+              tuple(range(1, 9)), tuple(range(1, 10)), (2.5,) * 9]
 
     @pytest.fixture
     def gf(self, table):
@@ -339,6 +341,43 @@ class TestHostClassMemo:
         gf.define(signature(INT, INT), lambda a, b: "int-int")
         assert gf.method_for_args((1, 2)).fn(1, 2) == "int-int"
         self.check(gf)
+
+    def test_tuple_keys(self, gf):
+        kinds = gf.kinds
+        key = dispatch._tuple_key
+        assert key(((1, 2.5), "s"), kinds) == ((int, float), str)
+        assert key(((),), kinds) == ((),)
+        assert key((Shape((2, 3)),), kinds) == key(((2, 3),), kinds) == ((int, int),)
+        assert key((tuple(range(14)),), kinds) == ((int,) * 14,)
+        # nested, holding a Shape or a bool: no key
+        for arg in (((1,), 2), (Shape((2,)),), (1, True)):
+            assert key((arg,), kinds) is None, arg
+
+    def test_a_key_determines_the_argument_types(self, gf):
+        """No class key, tuple key or type_of key of one argument list
+        equals a key of a list with other argument types."""
+        seen = {}
+        for args in self.arg_lists(self.VALUES, seed=3845):
+            try:
+                types = tuple(type_of(a, gf.kinds) for a in args)
+            except TypeError:
+                assert dispatch._tuple_key(args, gf.kinds) is None, args
+                continue
+            classes = tuple(map(type, args))
+            key = (classes if gf.kinds.keys() >= set(classes)
+                   else dispatch._tuple_key(args, gf.kinds))
+            for k in (key, types):
+                if k is not None:
+                    assert seen.setdefault(k, types) == types, args
+
+    def test_a_tuple_argument_hits_the_memo(self, gf, monkeypatch):
+        args = ((1, 2, 3),)
+        m = gf.method_for_args(args)
+        long = gf.method_for_args((tuple(range(14)),))
+        monkeypatch.setattr(dispatch, "type_of", None)  # a miss would call it
+        assert gf.method_for_args(args) is m
+        assert gf.method_for_args((Shape((4, 5, 6)),)) is m
+        assert gf.method_for_args((tuple(range(20, 34)),)) is long
 
     def test_value_probe(self, gf):
         """A value kind registered after the memo is warm, and an instance

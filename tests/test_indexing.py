@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -13,7 +14,8 @@ import dispatchkit.plans as plans
 import dispatchkit.runtime as runtime
 from dispatchkit.dispatch import DefinitionError, signature
 from dispatchkit.indexing import getindex, index_shape, rule_names
-from dispatchkit.minilang import MethodDef, parse
+from dispatchkit.inference import InferenceState
+from dispatchkit.minilang import Call, MethodDef, parse
 from dispatchkit.lattice import make_tuple
 from dispatchkit.ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, iota, zeros
 from dispatchkit.plans import shape_plan
@@ -57,6 +59,18 @@ _HUGE_INDEXES = [
     (Range(10 ** 5000 - 1, 10 ** 5000), 10 ** 5000 - 1, "<an Int of 5000 digits>"),
 ]
 
+# index kinds that are no index, one holding an Int too long to print
+_BAD_KIND_INDEXES = [
+    ((10 ** 5000,), "(<an Int of 5001 digits>,)"),
+    ((1,), "(1,)"),
+    ((2, (-10 ** 5000, "s")), "(2, (-<an Int of 5001 digits>, 's'))"),
+    (Shape((10 ** 5000, 3)), "Shape(<an Int of 5001 digits>, 3)"),
+    ((Range(1, 10 ** 5000),), "(1:<an Int of 5001 digits>,)"),
+    ([10 ** 5000, Range(1, 2)], "[<an Int of 5001 digits>, 1:2]"),
+    ({10 ** 5000: 1}, "<a dict>"),
+]
+_BAD_KIND_IDS = ["huge", "small", "nested", "shape", "range", "list", "other"]
+
 
 class TestGetindex:
     @pytest.mark.parametrize("index, value, text", _HUGE_INDEXES, ids=["int", "negative", "range"])
@@ -65,6 +79,12 @@ class TestGetindex:
             getindex(iota((3,)), [index])
         assert e.value.value == value
         assert str(e.value) == f"index {text} out of bounds for dimension 1 with extent 3"
+
+    @pytest.mark.parametrize("index, text", _BAD_KIND_INDEXES, ids=_BAD_KIND_IDS)
+    def test_bad_index_kind_is_a_type_error(self, index, text):
+        with pytest.raises(TypeError) as e:
+            getindex(iota((3,)), [index])
+        assert str(e.value) == f"not an index: {text}"
 
     def test_plane_copy(self):
         a = iota((4, 5, 6))
@@ -384,6 +404,25 @@ def test_plans_compile_every_argument_pattern_and_range():
                                                   make_tuple((INT,)))
     assert body is not None
     assert body((3,)) == rt.call("f", 3) == (3, 1, 4, 3, 2, 3, 5)
+
+
+def test_a_plan_build_infers_each_splice_once(monkeypatch):
+    # trailing-drop's `index_shape(i, I...) = tuple(length(i), index_shape(I...)...)`:
+    # the spliced call at 3:41 is inferred as often as `length(i)` beside it
+    counts = collections.Counter()
+    infer_expr = InferenceState.infer_expr
+
+    def counting(state, e, env):
+        if type(e) is Call:
+            counts[e.loc] += 1
+        return infer_expr(state, e, env)
+
+    monkeypatch.setattr(InferenceState, "infer_expr", counting)
+    base = runtime.base_functions("trailing-drop")
+    _, body = plans._Compiler(base).bound(base.lookup("index_shape"),
+                                          make_tuple((RANGE, INT, RANGE)))
+    assert body is not None
+    assert counts[(3, 30)] == counts[(3, 41)] == 6
 
 
 # a few values of each index class, edge cases included

@@ -21,7 +21,7 @@ from dispatchkit.views import (
 )
 
 from oracles import crank_oracle, materialize_view
-from test_indexing import _HUGE_INDEXES
+from test_indexing import _BAD_KIND_IDS, _BAD_KIND_INDEXES, _HUGE_INDEXES
 
 
 @pytest.fixture
@@ -160,6 +160,12 @@ class TestErrors:
             view(iota((3,)), [index])
         assert e.value.value == value
         assert str(e.value) == f"index {text} out of bounds for dimension 1 with extent 3"
+
+    @pytest.mark.parametrize("index, text", _BAD_KIND_INDEXES, ids=_BAD_KIND_IDS)
+    def test_bad_index_kind_is_a_type_error(self, index, text):
+        with pytest.raises(TypeError) as e:
+            view(iota((3,)), [index])
+        assert str(e.value) == f"not an index: {text}"
 
     def test_bad_index_kind(self, a456):
         with pytest.raises(TypeError):
