@@ -21,7 +21,11 @@ instantiation budget during that run, later calls of it answer Any, so
 the instance runs again until its result stops ascending, as a cycle's
 root does. Which methods survive for a given (function, argument
 tuple type) does not change during a run, so that screening is done once
-per pair and remembered by the state.
+per pair and remembered by the state. Behind that sits one process-wide
+memo: the screening depends only on the function's method signatures in
+order, the argument type and the declarations of the type table, so its
+answer, kept as method positions, serves every run and every runtime
+whose key matches.
 
 Termination is forced rather than hoped for: every tuple type built
 during inference is widened to a bounded number of fixed slots, a
@@ -41,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dispatch import FunctionTable, GenericFunction, Method, outranked
+from .dispatch import _MEMO_LIMIT, FunctionTable, GenericFunction, Method, outranked
 from .lattice import (
     ANY,
     WIDEN_MAX_FIXED,
@@ -73,6 +77,13 @@ _ACTIVE, _PROVISIONAL, _DONE = range(3)
 _ITERATION_CAP = 100
 _INSTANTIATION_BUDGET = 64  # distinct instances per generic function
 _NO_LINK = 1 << 30  # lowlink of a frame that consumed no unfinished result
+
+# (method sig_tuples in order, argument type, type table content_key) ->
+# (survivors as (method position, narrowed type), static winner's
+# position); the key names everything a screening reads, so entries never
+# go stale and threads that race on one key only repeat the work; a full
+# memo is cleared like the dispatch memo
+_SCREENS: dict[tuple, tuple] = {}
 
 
 @dataclass
@@ -130,6 +141,27 @@ def splice_types(t: TypeExpr):
     if t is Bottom:
         return [], Bottom
     return [], ANY
+
+
+def _screen_positions(methods: list, arg_type: TupleType, types):
+    """`InferenceState._screen`'s answer with each method given by its
+    position in `methods`."""
+    potential = []
+    for k, m in enumerate(methods):
+        nt = meet(arg_type, m.sig_tuple, types)
+        if nt is not Bottom:
+            potential.append((k, nt))
+    if not potential:
+        return None, None
+    covering = [k for k, _ in potential
+                if subtype(arg_type, methods[k].sig_tuple, types)]
+    rivals = [methods[k] for k in covering]
+    survivors = tuple((k, nt) for k, nt in potential
+                      if not outranked(methods[k], rivals, types))
+    static = None
+    if len(survivors) == 1 and survivors[0][0] in covering:
+        static = survivors[0][0]
+    return survivors, static
 
 
 class InferenceState:
@@ -248,21 +280,19 @@ class InferenceState:
         with its narrowed argument type, and the static winner if one
         method covers the whole argument type. Survivors are None when no
         method overlaps the argument type at all."""
-        potential = []
-        for m in gf.methods:
-            nt = meet(arg_type, m.sig_tuple, self.types)
-            if nt is not Bottom:
-                potential.append((m, nt))
-        if not potential:
+        methods = gf.methods
+        key = (tuple([m.sig_tuple for m in methods]), arg_type,
+               self.types.content_key)
+        screen = _SCREENS.get(key)
+        if screen is None:
+            if len(_SCREENS) >= _MEMO_LIMIT:
+                _SCREENS.clear()
+            screen = _SCREENS[key] = _screen_positions(methods, arg_type, self.types)
+        survivors, static = screen
+        if survivors is None:
             return None, None
-        covering = [m for m, _ in potential
-                    if subtype(arg_type, m.sig_tuple, self.types)]
-        survivors = tuple((m, nt) for m, nt in potential
-                          if not outranked(m, covering, self.types))
-        static = None
-        if len(survivors) == 1 and survivors[0][0] in covering:
-            static = survivors[0][0]
-        return survivors, static
+        return (tuple([(methods[k], nt) for k, nt in survivors]),
+                None if static is None else methods[static])
 
     def _accelerate(self, gf: GenericFunction, t: TupleType) -> TupleType:
         """Self-recursion with a longer tuple gets widened down to the
@@ -379,13 +409,18 @@ def infer_call_type(functions: FunctionTable, name: str, arg_type: TypeExpr,
 
 
 def _walk_calls(e, out: list):
-    if isinstance(e, Call):
-        out.append(e)
-        for a in e.args:
-            _walk_calls(a.expr if isinstance(a, Splice) else a, out)
-    elif isinstance(e, RangeLit):
-        _walk_calls(e.lo, out)
-        _walk_calls(e.hi, out)
+    """Append the call nodes under `e` to `out` in preorder. The walk
+    keeps its own stack, so a chain of any depth is walked."""
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, Call):
+            out.append(e)
+            todo.extend(a.expr if isinstance(a, Splice) else a
+                        for a in reversed(e.args))
+        elif isinstance(e, RangeLit):
+            todo.append(e.hi)
+            todo.append(e.lo)
 
 
 def infer_program(functions: FunctionTable, items,

@@ -152,6 +152,10 @@ class TypeTable:
     The first declaration must be the root, Any. Abstract types may have
     subtypes; concrete types may not. The table freezes after setup, at
     which point declarations become errors.
+
+    ``content_key`` is every declaration so far as (name, supertype,
+    abstract) triples in order: two tables with equal keys order every
+    pair of types alike, so answers computed over one hold for the other.
     """
 
     def __init__(self):
@@ -160,6 +164,7 @@ class TypeTable:
         self._chains: dict[str, tuple[str, ...]] = {}
         self._ancestors: dict[str, frozenset[str]] = {}
         self._frozen = False
+        self.content_key: tuple = ()
 
     @classmethod
     def prelude(cls) -> "TypeTable":
@@ -196,6 +201,7 @@ class TypeTable:
         chain = (name,) if supertype is None else (name,) + self._chains[supertype]
         self._chains[name] = chain
         self._ancestors[name] = frozenset(chain)
+        self.content_key += ((name, supertype, abstract),)
         return Named(name)
 
     def freeze(self):

@@ -45,6 +45,10 @@ class ParseError(SyntaxError):
         self.lineno = line
         self.offset = col
 
+    def __str__(self):
+        # the located message alone, without SyntaxError's " (line N)"
+        return self.msg
+
 
 Loc = tuple
 
@@ -386,7 +390,14 @@ def _pe(e, min_prec: int) -> str:
         s = f"{_pe(e.lo, _PRIMARY)}:{_pe(e.hi, _PRIMARY)}"
     elif isinstance(e, Call):
         if p == _ADD:
-            s = f"{_pe(e.args[0], _ADD)} + {_pe(e.args[1], _RANGE)}"
+            # `a + b + c` parses to a left spine of any length: walk it in
+            # a loop, not by recursion
+            terms = []
+            while _prec(e) == _ADD:
+                terms.append(_pe(e.args[1], _RANGE))
+                e = e.args[0]
+            terms.append(_pe(e, _ADD))
+            s = " + ".join(reversed(terms))
         else:
             s = e.fname + "(" + ", ".join(_pe(a, _ADD) for a in e.args) + ")"
     else:

@@ -32,6 +32,15 @@ class TestRun:
         assert main(["run", f]) == 2
         assert "syntax error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "infer"])
+    def test_syntax_error_names_its_line_once(self, tmp_path, capsys, command):
+        f = _write(tmp_path, "bad.mjl", "1 2\n")
+        assert main([command, f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            "syntax error: line 1, column 3: expected end of statement\n"
+
     def test_no_method_exit_1(self, tmp_path, capsys):
         f = _write(tmp_path, "nm.mjl", 'sum("a")\n')
         assert main(["run", f]) == 1
@@ -224,6 +233,24 @@ class TestDeepRecursion:
         assert captured.err == "error: line 201, column 1: call depth exceeded\n"
         assert main(["run", f]) == 0
         assert capsys.readouterr().out == "2\n1\n"
+
+    def test_long_plus_chain_infer(self, tmp_path, capsys):
+        # the parser accepts a `+` chain of any length; the site walk of
+        # `infer` must not exhaust the Python stack on one
+        chain = " + ".join(["1"] * 1200)
+        top = _write(tmp_path, "top.mjl", chain + "\n")
+        assert main(["infer", top]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: line 1, column \d+: call depth exceeded\n",
+                            captured.err)
+        body = _write(tmp_path, "body.mjl", "f(x) = " + chain.replace("1", "x") + "\n")
+        assert main(["infer", body]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        # nothing calls f: every site is reported, none was reached
+        assert captured.out.splitlines()[0] == "1:10 DYNAMIC Bottom"
+        assert len(captured.out.splitlines()) == 1199
 
     @pytest.mark.parametrize("command", ["run", "infer"])
     def test_deep_nesting_exit_2(self, tmp_path, capsys, command):

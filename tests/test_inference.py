@@ -14,13 +14,14 @@ from pathlib import Path
 
 import pytest
 
+from dispatchkit import inference
 from dispatchkit.inference import (
     InferenceState,
     infer_call_type,
     infer_program,
     splice_types,
 )
-from dispatchkit.lattice import ANY, Bottom, make_tuple, render_type, subtype
+from dispatchkit.lattice import ANY, Bottom, Named, make_tuple, render_type, subtype
 from dispatchkit.runtime import EvalError, Runtime
 from dispatchkit.values import FLOAT, INT, INTEGER, RANGE, REAL, STRING, type_of
 
@@ -293,6 +294,71 @@ class TestScreeningMemo:
         rt.load_definitions("k(x::Int) = 2.5\n")
         again = infer_program(rt.functions, prog.items, rt.widen_max_fixed)
         assert again.render_lines() == ["2:1 STATIC k#2 Float"]
+
+
+class TestSharedScreenMemo:
+    """The process-wide screening memo behind `InferenceState._screen`
+    serves every runtime whose signatures, argument type and type
+    declarations match, and no other."""
+
+    def _area(self, rt):
+        return infer_call_type(rt.functions, "area", make_tuple((Named("Sq"),)),
+                               rt.widen_max_fixed)
+
+    def test_runtimes_with_other_declarations_get_their_own_answers(self):
+        # equal method signatures and argument type; only the type tables
+        # differ: Sq is a Shape2 in one runtime and not in the other
+        nested, flat = _rt(), _rt()
+        nested.types.declare("Shape2", "Any", abstract=True)
+        nested.types.declare("Sq", "Shape2")
+        flat.types.declare("Shape2", "Any", abstract=True)
+        flat.types.declare("Sq", "Any")
+        for rt in (nested, flat):
+            rt.load_definitions("area(s::Shape2) = 1\narea(s) = 2.5\n")
+        for rt, want, label in ((nested, INT, "area#1"), (flat, FLOAT, "area#2"),
+                                (nested, INT, "area#1")):
+            t, m = self._area(rt)
+            assert (t, m.label) == (want, label)
+            assert m is rt.functions.lookup("area").methods[int(label[-1]) - 1]
+
+    def test_redefining_a_body_between_runs_is_seen(self):
+        # same signature, so the same memo key: the answer's positions
+        # map onto the new method
+        rt = _rt()
+        prog = rt.load_definitions("k(x::Real) = 1\nk(2)\n")
+        first = infer_program(rt.functions, prog.items, rt.widen_max_fixed)
+        assert first.render_lines() == ["2:1 STATIC k#1 Int"]
+        rt.load_definitions("k(x::Real) = 2.5\n")
+        again = infer_program(rt.functions, prog.items, rt.widen_max_fixed)
+        assert again.render_lines() == ["2:1 STATIC k#1 Float"]
+
+    def test_natives_and_user_methods_are_keyed_by_position(self):
+        # `+` holds the natives Runtime() appends straight into its
+        # methods, then one user method; the two runtimes share the key
+        ints, floats = _rt(), _rt()
+        ints.load_definitions('+(a::String, b::String) = 1\n')
+        floats.load_definitions('+(a::String, b::String) = 2.5\n')
+        for rt, want in ((ints, INT), (floats, FLOAT)):
+            methods = rt.functions.lookup("+").methods
+            assert [m.body is None for m in methods] == [True, True, False]
+            for args, t_want, k in (((STRING, STRING), want, 2),
+                                    ((INT, INT), INT, 0), ((FLOAT, INT), FLOAT, 1)):
+                t, m = _infer(rt, "+", *args)
+                assert t == t_want and m is methods[k]
+
+    def test_memo_never_exceeds_its_limit(self, monkeypatch):
+        monkeypatch.setattr(inference, "_MEMO_LIMIT", 5)
+        monkeypatch.setattr(inference, "_SCREENS", {})
+        rt = _rt()
+        rt.load_definitions("g(r...) = 1\n")
+        g1 = rt.functions.lookup("g").methods[0]
+        for n in range(9):  # nine argument types, nine keys
+            t, m = _infer(rt, "g", *[INT] * n)
+            assert t == INT and m is g1
+            assert 0 < len(inference._SCREENS) <= 5
+        # a full memo was cleared, and answers after the clear still hold
+        t, m = _infer(rt, "g")
+        assert t == INT and m is g1
 
 
 class TestWidenThreshold:

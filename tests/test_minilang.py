@@ -217,6 +217,17 @@ class TestRoundTrip:
             "                                index_shape(I...)...)\n"
         )
 
+    def test_long_plus_chain(self):
+        # the parser's `+` loop builds a left spine 5,000 calls deep; the
+        # printer walks it without recursion. Printed text is compared
+        # because `==` on such a tree would itself recurse that deep.
+        src = "f(x) = " + " + ".join(["x"] * 5000) + "\n" \
+            + " + ".join(str(k) for k in range(5000)) + "\n"
+        printed = print_program(parse(src))
+        assert printed == src
+        assert print_program(parse(printed)) == printed
+        assert print_expr(parse(src).items[1]).startswith("0 + 1 + 2 + ")
+
     def test_random_programs(self):
         rng = random.Random(41002)
 
