@@ -53,32 +53,32 @@ class ParseError(SyntaxError):
 Loc = tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class Lit:
     value: Union[int, float, str]
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Ident:
     name: str
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class RangeLit:
     lo: "Expr"
     hi: "Expr"
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Splice:
     expr: "Expr"
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Call:
     fname: str
     args: list
@@ -88,14 +88,14 @@ class Call:
 Expr = Union[Lit, Ident, RangeLit, Call]
 
 
-@dataclass
+@dataclass(slots=True)
 class Param:
     name: str
     type_name: Optional[str] = None
     variadic: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDef:
     fname: str
     params: list
@@ -103,75 +103,99 @@ class MethodDef:
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     items: list
 
 
 # ---------------------------------------------------------------- lexer
 
-# One alternation, tried in order at each position, the commonest tokens
-# first; BADNUM and BADSTR only match where FLOAT/INT and STRING failed,
-# and CHAR catches everything else. Identifiers start with a letter or '_'
-# ([^\W\d] also admits non-decimal digits such as '²'; _lex rejects
-# those). A '.' after digits starts a float only when it does not begin
-# '...'. A comment takes no columns: the NEWLINE after it, or the end of
-# input, is located at its '#'.
-_TOKEN = re.compile(r"""
-    (?P<IDENT>[^\W\d]\w*) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
-  | (?P<SKIP>[ \t\r]+)
-  | (?P<FLOAT>[0-9]+\.[0-9]+) | (?P<BADNUM>[0-9]+\.(?!\.\.)) | (?P<INT>[0-9]+)
-  | (?P<PLUS>\+) | (?P<NEWLINE>(?:\#[^\n]*)?\n) | (?P<COMMENT>\#[^\n]*)
-  | (?P<ELLIPSIS>\.\.\.) | (?P<DCOLON>::) | (?P<COLON>:) | (?P<EQUALS>=)
-  | (?P<STRING>"(?:[^"\\\n]|\\[\\"]|\\(?![\\"]))*") | (?P<BADSTR>")
-  | (?P<CHAR>.)
+# One scan per source: `_CHUNK.findall` yields a (blanks, token) pair per
+# token, where blanks is the run of spaces, tabs and carriage returns before
+# it, so no token builds a match object and blanks never match on their own.
+# The alternatives are tried in order, the commonest first: one-character
+# punctuation and the newline; numbers, where digits and a '.' are a
+# malformed number unless a digit follows or the '.' begins '...'; names,
+# whose first character [^\W\d] may also be a non-decimal digit such as '²'
+# (_lex rejects those); '...', '::' and ':'; a comment up to the end of its
+# line; a string, or a lone '"' that starts none; any other character; and,
+# as an empty token, the end of input. A comment takes no columns: the
+# NEWLINE after it, or the end of input, is located at its '#'.
+_CHUNK = re.compile(r"""
+    ([ \t\r]*)
+    ( [(),+=\n] | [0-9]+(?:\.[0-9]+|\.(?!\.\.))? | [^\W\d]\w* | \.\.\. | ::?
+    | \#[^\n]* | "(?:[^"\\\n]|\\[\\"]|\\(?![\\"]))*" | . | \Z )
 """, re.VERBOSE)
 _ESCAPE = re.compile(r'\\([\\"])')
+
+_LETTERS = "_ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+_DIGITS = "0123456789"
+# the kind of a token by its whole text: punctuation, one-letter names,
+# one-digit numbers, and the empty token that ends the input
+_KIND = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", "+": "PLUS",
+         "=": "EQUALS", ":": "COLON", "::": "DCOLON", "...": "ELLIPSIS",
+         "\n": "NEWLINE", "": "END",
+         **dict.fromkeys(_LETTERS, "IDENT"), **dict.fromkeys(_DIGITS, "INT")}
+# otherwise by its first character; a first character in neither table
+# starts a non-ASCII name or is an unexpected character
+_LEAD = {**dict.fromkeys(_LETTERS, "IDENT"), **dict.fromkeys(_DIGITS, "NUMBER"),
+         '"': "STRING", "#": "COMMENT"}
 
 # a token is (kind, text, line, col); tok[2:] is its location
 _Token = tuple
 
 
-def _lex(source: str) -> list[_Token]:
+def _lex(source: str) -> tuple[list[_Token], list[str]]:
+    """The tokens of `source` and, in step with them, their kinds."""
     toks: list[_Token] = []
-    line, line_start, depth, end = 1, 0, 0, len(source)
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind == "SKIP":
-            continue
-        pos = m.start()
-        if kind == "COMMENT":  # only at end of input
-            end = pos
-            continue
-        col = pos - line_start + 1
-        if kind == "NEWLINE":
-            if depth == 0 and toks and toks[-1][0] != "NEWLINE":
-                toks.append(("NEWLINE", "\n", line, col))
-            line += 1
-            line_start = m.end()
-            continue
-        text = m.group()
-        if kind == "IDENT":
-            if not (text[0].isalpha() or text[0] == "_"):
-                raise ParseError(f"unexpected character {text[0]!r}", line, col)
+    kinds: list[str] = []
+    line, col, depth = 1, 1, 0
+    for blank, text in _CHUNK.findall(source):
+        if blank:
+            col += len(blank)
+        kind = _KIND.get(text)
+        if kind is None:
+            kind = _LEAD.get(text[0])
+            if kind == "NUMBER":
+                if text[-1] == ".":
+                    raise ParseError("malformed number", line, col)
+                kind = "FLOAT" if "." in text else "INT"
+            elif kind == "STRING":
+                if text == '"':
+                    raise ParseError("unterminated string", line, col)
+                toks.append((kind, _ESCAPE.sub(r"\1", text[1:-1]), line, col))
+                kinds.append(kind)
+                col += len(text)
+                continue
+            elif kind == "COMMENT":  # takes no columns
+                continue
+            elif kind is None:
+                if not text[0].isalpha():
+                    raise ParseError(f"unexpected character {text[0]!r}", line, col)
+                kind = "IDENT"
         elif kind == "LPAREN":
             depth += 1
         elif kind == "RPAREN":
-            depth = max(0, depth - 1)
-        elif kind == "STRING":
-            text = _ESCAPE.sub(r"\1", text[1:-1])
-        elif kind == "BADNUM":
-            raise ParseError("malformed number", line, col)
-        elif kind == "BADSTR":
-            raise ParseError("unterminated string", line, col)
-        elif kind == "CHAR":
-            raise ParseError(f"unexpected character {text!r}", line, col)
+            if depth:
+                depth -= 1
+        elif kind == "NEWLINE":
+            if depth == 0 and kinds and kinds[-1] != "NEWLINE":
+                toks.append((kind, text, line, col))
+                kinds.append(kind)
+            line += 1
+            col = 1
+            continue
+        elif kind == "END":
+            break
         toks.append((kind, text, line, col))
-    col = end - line_start + 1
-    if toks and toks[-1][0] != "NEWLINE":
+        kinds.append(kind)
+        col += len(text)
+    if kinds and kinds[-1] != "NEWLINE":
         toks.append(("NEWLINE", "\n", line, col))
+        kinds.append("NEWLINE")
     toks.append(("EOF", "", line, col))
-    return toks
+    kinds.append("EOF")
+    return toks, kinds
 
 
 # --------------------------------------------------------------- parser
@@ -181,9 +205,9 @@ class _Parser:
     """Recursive descent over the token list; `kinds[pos]` is the lookahead
     (the EOF token is last and never consumed)."""
 
-    def __init__(self, toks: list[_Token]):
+    def __init__(self, toks: list[_Token], kinds: list[str]):
         self.toks = toks
-        self.kinds = [t[0] for t in toks]
+        self.kinds = kinds
         self.pos = 0
 
     def next(self) -> _Token:
@@ -267,90 +291,85 @@ class _Parser:
             self.pos += 1
         return Param(name, type_name, variadic)
 
-    # precedence: additive < range < primary; after an operand a `+` is
-    # always the infix operator, in operand position it heads a call
+    # precedence: additive < range < operand; after an operand a `+` is
+    # always the infix operator, in operand position it heads a call. The
+    # operands are read in this loop, not by a method of their own; `lo`
+    # holds the left end of a range while its right end is read.
     def expr(self) -> Expr:
-        kinds = self.kinds
-        left = plus = None
+        toks, kinds = self.toks, self.kinds
+        left = plus = lo = None
         while True:
-            e = self.primary()
-            if kinds[self.pos] == "COLON":
-                t = self.next()
-                e = RangeLit(e, self.primary(), t[2:])
+            t = toks[self.pos]
+            kind = t[0]
+            self.pos += 1
+            if kind == "INT":
+                try:
+                    e = Lit(int(t[1]), t[2:])
+                except ValueError:  # more digits than the interpreter converts
+                    raise ParseError(f"integer literal of {len(t[1])} digits is too long",
+                                     *t[2:]) from None
+            elif kind == "IDENT":
+                if kinds[self.pos] == "LPAREN":
+                    e = self.call(t[1], t)
+                else:
+                    e = Ident(t[1], t[2:])
+            elif kind == "FLOAT":
+                e = Lit(float(t[1]), t[2:])
+            elif kind == "LPAREN":
+                e = self.tuple_or_group(t)
+            elif kind == "STRING":
+                e = Lit(t[1], t[2:])
+            elif kind == "PLUS" and kinds[self.pos] == "LPAREN":
+                e = self.call("+", t)
+            else:
+                raise ParseError(f"unexpected {kind} {t[1]!r}", t[2], t[3])
+            if lo is not None:
+                e = RangeLit(lo, e, colon[2:])
+                lo = None
+            elif kinds[self.pos] == "COLON":
+                lo, colon = e, self.next()
+                continue
             left = e if plus is None else Call("+", [left, e], plus[2:])
             if kinds[self.pos] != "PLUS":
                 return left
             plus = self.next()
 
-    def primary(self) -> Expr:
-        t = self.toks[self.pos]
-        kind = t[0]
-        if kind == "IDENT":
-            self.pos += 1
-            if self.kinds[self.pos] == "LPAREN":
-                return self.call(t[1], t)
-            return Ident(t[1], t[2:])
-        if kind == "INT":
-            self.pos += 1
-            try:
-                return Lit(int(t[1]), t[2:])
-            except ValueError:  # more digits than the interpreter converts
-                raise ParseError(f"integer literal of {len(t[1])} digits is too long",
-                                 *t[2:]) from None
-        if kind == "FLOAT":
-            self.pos += 1
-            return Lit(float(t[1]), t[2:])
-        if kind == "STRING":
-            self.pos += 1
-            return Lit(t[1], t[2:])
-        if kind == "PLUS" and self.kinds[self.pos + 1] == "LPAREN":
-            self.pos += 1
-            return self.call("+", t)
-        if kind == "LPAREN":
-            return self.tuple_or_group()
-        self.fail(f"unexpected {kind} {t[1]!r}")
-
     def call(self, fname: str, t: _Token) -> Call:
-        self.pos += 1  # the LPAREN both callers have seen
+        self.pos += 1  # the LPAREN after the name
+        kinds = self.kinds
         args = []
-        if self.kinds[self.pos] != "RPAREN":
-            args.append(self.argument())
-            while self.kinds[self.pos] == "COMMA":
+        if kinds[self.pos] != "RPAREN":
+            while True:
+                e = self.expr()
+                if kinds[self.pos] == "ELLIPSIS":
+                    e = Splice(e, self.next()[2:])
+                args.append(e)
+                if kinds[self.pos] != "COMMA":
+                    break
                 self.pos += 1
-                args.append(self.argument())
         self.expect("RPAREN")
         return Call(fname, args, t[2:])
 
-    def argument(self):
-        e = self.expr()
-        if self.kinds[self.pos] == "ELLIPSIS":
-            return Splice(e, self.next()[2:])
-        return e
-
-    def tuple_or_group(self) -> Expr:
-        t = self.next()
+    def tuple_or_group(self, t: _Token) -> Expr:
         kinds = self.kinds
-        if kinds[self.pos] == "RPAREN":
-            self.pos += 1
-            return Call("tuple", [], t[2:])
-        first = self.argument()
-        if kinds[self.pos] == "RPAREN":
-            self.pos += 1
-            if isinstance(first, Splice):
-                return Call("tuple", [first], t[2:])
-            return first
-        args = [first]
-        while kinds[self.pos] == "COMMA":
-            self.pos += 1
-            if kinds[self.pos] == "RPAREN":
+        args = []
+        while kinds[self.pos] != "RPAREN":
+            e = self.expr()
+            if kinds[self.pos] == "ELLIPSIS":
+                e = Splice(e, self.next()[2:])
+            elif not args and kinds[self.pos] == "RPAREN":
+                self.pos += 1
+                return e  # a parenthesized group
+            args.append(e)
+            if kinds[self.pos] != "COMMA":
                 break
-            args.append(self.argument())
+            self.pos += 1
         self.expect("RPAREN")
         return Call("tuple", args, t[2:])
 
 
 def parse(source: str) -> Program:
-    parser = _Parser(_lex(source))
+    parser = _Parser(*_lex(source))
     try:
         return parser.program()
     except RecursionError:
@@ -384,6 +403,11 @@ def _pe(e, min_prec: int) -> str:
             s = f'"{body}"'
         else:
             s = repr(e.value)
+            if "e" in s:  # the lexer reads no exponent: repr's digits, positionally
+                from decimal import Decimal
+                s = format(Decimal(s), "f")
+                if "." not in s:
+                    s += ".0"
     elif isinstance(e, Ident):
         s = e.name
     elif isinstance(e, RangeLit):
@@ -399,7 +423,12 @@ def _pe(e, min_prec: int) -> str:
             terms.append(_pe(e, _ADD))
             s = " + ".join(reversed(terms))
         else:
-            s = e.fname + "(" + ", ".join(_pe(a, _ADD) for a in e.args) + ")"
+            # a loop, not a generator: one frame per level of nesting, so
+            # whatever nesting the parser accepts also prints
+            args = []
+            for a in e.args:
+                args.append(_pe(a, _ADD))
+            s = e.fname + "(" + ", ".join(args) + ")"
     else:
         raise TypeError(f"not an expression: {e!r}")
     if p < min_prec:

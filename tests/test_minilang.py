@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -170,6 +173,32 @@ class TestParseErrors:
         assert (e.value.lineno, e.value.offset) == (1, 5)
 
 
+class TestNesting:
+    @pytest.mark.parametrize("depth", [240, 480])
+    def test_deep_nesting_parses_and_prints_at_the_default_recursion_limit(self, depth):
+        # a fresh interpreter, so the test runner's own frames do not count;
+        # a level costs the parser two frames and the printer one
+        code = (
+            "import sys\n"
+            "from dispatchkit import parse, print_program\n"
+            "assert sys.getrecursionlimit() == 1000\n"
+            "def depth(e):\n"
+            "    n = 0\n"
+            "    while e.args:\n"
+            "        e, n = e.args[0], n + 1\n"
+            "    return n\n"
+            f"n = {depth}\n"
+            "for src in ['f(' * n + 'f()' + ')' * n, '(' * n + '()' + ',)' * n]:\n"
+            "    printed = print_program(parse(src))\n"
+            "    assert print_program(parse(printed)) == printed\n"
+            "    print(depth(parse(src).items[0]))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{depth}\n{depth}\n"
+
+
 class TestLocations:
     def test_statement_lines(self):
         p = parse("f(x) = x\n\nf(1)\n")
@@ -178,6 +207,75 @@ class TestLocations:
 
     def test_locations_ignored_by_equality(self):
         assert parse("f(1)\n") == parse("\n# c\nf(1)\n")
+
+    def test_each_node_is_located_at_its_text(self):
+        sources = [prelude_source(rule) for rule in RULE_NAMES]
+        sources += [p.read_text() for p in sorted(DEMO_PROGRAMS.glob("*.mjl"))]
+        sources += golden_sources()
+        sources += [_noisy(s, random.Random(k)) for k, s in enumerate(sources)]
+        checked, bad = 0, []
+        for source in sources:
+            try:
+                items = parse(source).items
+            except ParseError:
+                continue
+            lines = source.split("\n")
+            for node in _nodes(items):
+                line, col = node.loc
+                at = lines[line - 1][col - 1:]
+                checked += 1
+                if not at.startswith(_located_text(node)):
+                    bad.append((source, node, at[:20]))
+        assert not bad, bad[:5]
+        assert checked > 800
+
+
+DEMO_PROGRAMS = Path(__file__).parent.parent / "demos" / "programs"
+
+
+def _noisy(source: str, rng: random.Random) -> str:
+    """The same program with tabs, CRLF line ends, trailing comments and
+    argument lists continued on the next line."""
+    out = []
+    for piece in re.split(r"(, | = | \+ |\n)", source):
+        if piece == ", ":
+            piece = rng.choice([", ", ",\t", ",\n\t ", ", # more\r\n  "])
+        elif piece in (" = ", " + "):
+            piece = rng.choice([piece, f"\t{piece.strip()}\t", f" {piece.strip()}  "])
+        elif piece == "\n":
+            piece = rng.choice(["\n", "\r\n", "  # note\n", "\t#\r\n"])
+        out.append(piece)
+    return "".join(out)
+
+
+def _nodes(items):
+    stack = list(items)
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, MethodDef):
+            stack.append(node.body)
+        elif isinstance(node, Call):
+            stack.extend(node.args)
+        elif isinstance(node, RangeLit):
+            stack += [node.lo, node.hi]
+        elif isinstance(node, Splice):
+            stack.append(node.expr)
+
+
+def _located_text(node) -> tuple:
+    """What the source at `node.loc` starts with."""
+    if isinstance(node, Ident):
+        return (node.name,)
+    if isinstance(node, Lit):
+        return ('"',) if isinstance(node.value, str) else tuple("0123456789")
+    if isinstance(node, RangeLit):
+        return (":",)
+    if isinstance(node, Splice):
+        return ("...",)
+    if isinstance(node, Call) and node.fname == "tuple":
+        return ("tuple", "(")  # a call by name or a tuple literal
+    return (node.fname,)  # a Call by name or `+`, or a MethodDef
 
 
 class TestPrinter:
@@ -216,6 +314,15 @@ class TestRoundTrip:
             "index_shape(i, I...)    = tuple(length(i),\n"
             "                                index_shape(I...)...)\n"
         )
+
+    @pytest.mark.parametrize("src", [
+        "0.00001",
+        "10000000000000000.0",
+        "123456789012345678901234567890.5",
+    ])
+    def test_float_literal(self, src):
+        # repr would print an exponent, which the lexer does not read
+        _round_trip_stable(src + "\n")
 
     def test_long_plus_chain(self):
         # the parser's `+` loop builds a left spine 5,000 calls deep; the
