@@ -2,16 +2,27 @@
 
 A generic function owns an ordered list of methods. Calling one selects
 the applicable method whose signature, read as a tuple type, is most
-specific for the concrete argument types, then runs its body. Selection
-is memoized in one dict per generic function. Calls go through
-`GenericFunction.method_for_args`, which `dispatch_call` and the
-evaluator share: it keys the memo on the host classes of the arguments
-when each is one of the function's value kinds (the `kinds` map of its
-FunctionTable, see `values`) or a tuple of them, the way a polymorphic
-inline cache keys on the receiver's class, and otherwise on the tuple
-of their concrete types, as `method_for` and `select` do. Any
-(re)definition clears the memo, so a warm cache is observationally
-identical to a cold one.
+specific for the concrete argument types, then runs its body.
+
+One rule, `_screen_positions`, says which methods can win a call on an
+argument tuple type: those that overlap it and that no method covering
+all of it outranks. Selection takes the lone covering survivor;
+inference (`GenericFunction.screen`) takes every survivor and reports
+the lone survivor static when it covers, so a static site dispatches to
+the method inference reports.
+
+Selection is memoized per function on an argument key (`_cache`): host
+classes where `method_for_args` can use them, as a polymorphic inline
+cache keys on the receiver's class, and concrete types otherwise. A miss
+computes the rule afresh, which costs less than hashing a fresh argument
+type into a memo. `screen` memoizes the rule per function on the
+argument type (`_screens`), and behind that in the process-wide
+`_SCREENS`, which keeps answers in method positions under all the rule
+reads: the signatures in order, the argument type and the type table's
+`content_key`. A (re)definition clears the function's memos, so a warm
+cache is observationally identical to a cold one; a type declaration
+orders no two declared names anew, so it clears none. With
+`cache_enabled` off, nothing is memoized.
 
 Specificity uses the signature order from the lattice module (see the
 note there): it extends strict semantic subtyping so that variadic
@@ -26,14 +37,15 @@ from typing import Any, Callable, Iterator, Mapping, Optional
 
 from .lattice import (
     ANY,
+    Bottom,
     Named,
     TupleType,
     TypeExpr,
     TypeTable,
     make_tuple,
+    meet,
     render_type,
     signature_subtype,
-    subtype,
 )
 from .values import HOST_KINDS, type_of
 
@@ -54,6 +66,10 @@ __all__ = [
 
 # several times the largest memo a benchmark workload builds (under 900)
 _MEMO_LIMIT = 4096
+
+# (sig_tuples in order, argument type, content_key) -> `_screen_positions`'s
+# answer; threads that race on one key only repeat the work
+_SCREENS: dict[tuple, tuple] = {}
 
 
 class DispatchError(Exception):
@@ -99,6 +115,8 @@ class MethodSignature:
     def __post_init__(self):
         if self.variadic and not self.params:
             raise DefinitionError("variadic signature needs an element type")
+        if self.variadic and isinstance(self.params[-1], TupleType):
+            raise DefinitionError("variadic element type must not be a tuple type")
         if len(self.specialized) not in (0, len(self.params)):
             raise DefinitionError("specialized flags must match params")
         if not self.specialized:
@@ -134,8 +152,40 @@ def more_specific(a: MethodSignature, b: MethodSignature, table: TypeTable) -> b
 
 def outranked(m: Method, rivals, table: TypeTable) -> bool:
     """True iff some other method of `rivals` strictly precedes `m`: the
-    one precedence test of dispatch (`select`) and of inference."""
+    one precedence test of the selection rule."""
     return any(o is not m and _precedes(o.sig_tuple, m.sig_tuple, table) for o in rivals)
+
+
+def _screen_positions(methods: list, arg_type: TupleType, table: TypeTable) -> tuple:
+    """The selection rule, each method given by its position in `methods`:
+    the methods that cover all of `arg_type`; the survivors, each method
+    that overlaps `arg_type` and that no covering one outranks, with its
+    narrowed type (None when no method overlaps); the covering survivors;
+    and the static winner, the lone survivor when it covers."""
+    overlapping, covering = [], []
+    for k, m in enumerate(methods):
+        nt = meet(arg_type, m.sig_tuple, table)
+        if nt is not Bottom:
+            overlapping.append((k, nt))
+            if nt is arg_type:  # meet returns `arg_type` itself iff it is a subtype
+                covering.append(k)
+    if not overlapping:
+        return (), None, (), None
+    if len(overlapping) > 1:  # only another covering method can outrank one
+        rivals = [methods[k] for k in covering]
+        overlapping = [(k, nt) for k, nt in overlapping
+                       if not outranked(methods[k], rivals, table)]
+    winners = tuple([k for k, _ in overlapping if k in covering])
+    static = winners[0] if winners and len(overlapping) == 1 else None
+    return tuple(covering), tuple(overlapping), winners, static
+
+
+def _remember(memo: dict, key, value):
+    """Store `value` under `key`, clearing a full memo first."""
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 @dataclass
@@ -171,6 +221,7 @@ class GenericFunction:
         self.cache_enabled = True
         self.frozen = False
         self._cache: dict[tuple, Method] = {}
+        self._screens: dict[TupleType, tuple] = {}  # arg type -> an entry of _SCREENS
 
     def define(self, sig: MethodSignature, fn: Callable[..., Any],
                body=None, transfer=None) -> Method:
@@ -180,13 +231,14 @@ class GenericFunction:
             self._check_declared(p)
         for k, existing in enumerate(self.methods):
             if existing.signature == sig:
-                m = Method(sig, fn, self.name, existing.ordinal, body, transfer)
-                self.methods[k] = m
-                self._cache.clear()
-                return m
-        m = Method(sig, fn, self.name, len(self.methods) + 1, body, transfer)
-        self.methods.append(m)
+                m = self.methods[k] = Method(sig, fn, self.name, existing.ordinal,
+                                             body, transfer)
+                break
+        else:
+            m = Method(sig, fn, self.name, len(self.methods) + 1, body, transfer)
+            self.methods.append(m)
         self._cache.clear()
+        self._screens.clear()
         return m
 
     def _check_declared(self, t: TypeExpr) -> None:
@@ -198,8 +250,25 @@ class GenericFunction:
             if t.tail is not None:
                 self._check_declared(t.tail)
 
-    def applicable(self, arg_types: TypeExpr) -> list[Method]:
-        return [m for m in self.methods if subtype(arg_types, m.sig_tuple, self.types)]
+    def applicable(self, arg_types: TupleType) -> list[Method]:
+        methods = self.methods
+        return [methods[k] for k in _screen_positions(methods, arg_types, self.types)[0]]
+
+    def screen(self, arg_type: TupleType):
+        """The methods that could win a call on `arg_type`, each with its
+        narrowed type (None when none overlaps), and the static winner."""
+        methods = self.methods
+        if not self.cache_enabled:
+            got = _screen_positions(methods, arg_type, self.types)
+        elif (got := self._screens.get(arg_type)) is None:
+            key = (tuple([m.sig_tuple for m in methods]), arg_type, self.types.content_key)
+            got = _remember(self._screens, arg_type, _SCREENS.get(key) or _remember(
+                _SCREENS, key, _screen_positions(methods, arg_type, self.types)))
+        _, survivors, _, static = got
+        if survivors is None:
+            return None, None
+        return ([(methods[k], nt) for k, nt in survivors],
+                None if static is None else methods[static])
 
     def method_for(self, key: tuple) -> Method:
         """The method for a tuple of concrete argument types, memoized per key."""
@@ -210,10 +279,7 @@ class GenericFunction:
 
     def _memo_miss(self, key: tuple, arg_types: tuple) -> Method:
         """Select for `arg_types`, memoized under `key`; a full memo is cleared first."""
-        if len(self._cache) >= _MEMO_LIMIT:
-            self._cache.clear()
-        m = self._cache[key] = self._select_uncached(make_tuple(arg_types))
-        return m
+        return _remember(self._cache, key, self._select_uncached(make_tuple(arg_types)))
 
     def method_for_args(self, args) -> Method:
         """The method for a list of argument values.
@@ -244,17 +310,15 @@ class GenericFunction:
         return self._select_uncached(arg_types)
 
     def _select_uncached(self, arg_types: TupleType) -> Method:
-        candidates = self.applicable(arg_types)
-        if not candidates:
-            raise NoMethodError(self.name, arg_types.fixed if arg_types.tail is None
-                                else (arg_types,))
-        if len(candidates) == 1:
-            return candidates[0]
-        winners = [m for m in candidates if not outranked(m, candidates, self.types)]
+        """The one covering method the rule leaves, computed afresh."""
+        methods = self.methods
+        covering, _, winners, _ = _screen_positions(methods, arg_types, self.types)
         if len(winners) == 1:
-            return winners[0]
-        raise AmbiguityError(self.name, arg_types.fixed if arg_types.tail is None
-                             else (arg_types,), winners or candidates)
+            return methods[winners[0]]
+        shown = arg_types.fixed if arg_types.tail is None else (arg_types,)
+        if not covering:
+            raise NoMethodError(self.name, shown)
+        raise AmbiguityError(self.name, shown, [methods[k] for k in winners or covering])
 
     def __call__(self, *args):
         return dispatch_call(self, args)

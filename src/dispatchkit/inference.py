@@ -3,10 +3,9 @@
 Works by abstract interpretation: each method is analyzed per distinct
 (narrowed) argument tuple type, and every call joins the results of the
 methods that could win dispatch for some concretization of the abstract
-argument tuple. A method is ruled out when its signature cannot overlap
-the argument type (meet is Bottom) or when a strictly more specific
-method is applicable over the whole argument type, so no concrete call
-could ever reach it.
+argument tuple: the survivors of the dispatcher's own selection rule,
+which `GenericFunction.screen` gives and remembers (see `dispatch`), so
+inference holds no selection state of its own.
 
 Recursion is handled with per-instance frames. A frame consumed while
 still being computed contributes its provisional result (starting at
@@ -19,13 +18,7 @@ and cannot change, so a second run would only confirm it. The one
 exception keeps reports exact: if some generic function went over its
 instantiation budget during that run, later calls of it answer Any, so
 the instance runs again until its result stops ascending, as a cycle's
-root does. Which methods survive for a given (function, argument
-tuple type) does not change during a run, so that screening is done once
-per pair and remembered by the state. Behind that sits one process-wide
-memo: the screening depends only on the function's method signatures in
-order, the argument type and the declarations of the type table, so its
-answer, kept as method positions, serves every run and every runtime
-whose key matches.
+root does.
 
 Termination is forced rather than hoped for: every tuple type built
 during inference is widened to a bounded number of fixed slots, a
@@ -45,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .dispatch import _MEMO_LIMIT, FunctionTable, GenericFunction, Method, outranked
+from .dispatch import FunctionTable, GenericFunction, Method
 from .lattice import (
     ANY,
     WIDEN_MAX_FIXED,
@@ -56,7 +49,6 @@ from .lattice import (
     make_tuple,
     meet,
     render_type,
-    subtype,
     widen,
 )
 from .minilang import Call, Ident, Lit, MethodDef, RangeLit, Splice
@@ -77,13 +69,6 @@ _ACTIVE, _PROVISIONAL, _DONE = range(3)
 _ITERATION_CAP = 100
 _INSTANTIATION_BUDGET = 64  # distinct instances per generic function
 _NO_LINK = 1 << 30  # lowlink of a frame that consumed no unfinished result
-
-# (method sig_tuples in order, argument type, type table content_key) ->
-# (survivors as (method position, narrowed type), static winner's
-# position); the key names everything a screening reads, so entries never
-# go stale and threads that race on one key only repeat the work; a full
-# memo is cleared like the dispatch memo
-_SCREENS: dict[tuple, tuple] = {}
 
 
 @dataclass
@@ -143,27 +128,6 @@ def splice_types(t: TypeExpr):
     return [], ANY
 
 
-def _screen_positions(methods: list, arg_type: TupleType, types):
-    """`InferenceState._screen`'s answer with each method given by its
-    position in `methods`."""
-    potential = []
-    for k, m in enumerate(methods):
-        nt = meet(arg_type, m.sig_tuple, types)
-        if nt is not Bottom:
-            potential.append((k, nt))
-    if not potential:
-        return None, None
-    covering = [k for k, _ in potential
-                if subtype(arg_type, methods[k].sig_tuple, types)]
-    rivals = [methods[k] for k in covering]
-    survivors = tuple((k, nt) for k, nt in potential
-                      if not outranked(methods[k], rivals, types))
-    static = None
-    if len(survivors) == 1 and survivors[0][0] in covering:
-        static = survivors[0][0]
-    return survivors, static
-
-
 class InferenceState:
     def __init__(self, functions: FunctionTable, widen_max_fixed: int = WIDEN_MAX_FIXED):
         if widen_max_fixed < 0:
@@ -178,9 +142,6 @@ class InferenceState:
         self.instantiations = 0
         self.budget_crossings = 0  # functions that went over the budget
         self.sites: dict[int, _Verdict] = {}    # id(node) -> its verdict
-        # (gf, arg type) -> _screen's answer; methods cannot change while
-        # one state runs, so the memo needs no invalidation
-        self.screened: dict[tuple, tuple] = {}
         self.provisional: list[tuple] = []      # keys of _PROVISIONAL frames
 
     # ---------------------------------------------------------- helpers
@@ -260,54 +221,23 @@ class InferenceState:
             return Bottom, None
         if not isinstance(arg_type, TupleType):
             return ANY, None
-        arg_type = self._accelerate(gf, arg_type)
-        key = (gf, arg_type)
-        screen = self.screened.get(key)
-        if screen is None:
-            screen = self.screened[key] = self._screen(gf, arg_type)
-        survivors, static = screen
+        survivors, static = gf.screen(self._accelerate(gf, arg_type))
         if survivors is None:
             return Bottom, None
-        if self._over_budget(gf):
+        if self.per_gf_instances.get(gf.name, 0) > _INSTANTIATION_BUDGET:
             return ANY, None
         result = Bottom
         for m, nt in survivors:
             result = join(result, self._infer_instance(gf, m, nt), self.types)
         return result, static
 
-    def _screen(self, gf: GenericFunction, arg_type: TupleType):
-        """The methods that could win a call of `gf` on `arg_type`, each
-        with its narrowed argument type, and the static winner if one
-        method covers the whole argument type. Survivors are None when no
-        method overlaps the argument type at all."""
-        methods = gf.methods
-        key = (tuple([m.sig_tuple for m in methods]), arg_type,
-               self.types.content_key)
-        screen = _SCREENS.get(key)
-        if screen is None:
-            if len(_SCREENS) >= _MEMO_LIMIT:
-                _SCREENS.clear()
-            screen = _SCREENS[key] = _screen_positions(methods, arg_type, self.types)
-        survivors, static = screen
-        if survivors is None:
-            return None, None
-        return (tuple([(methods[k], nt) for k, nt in survivors]),
-                None if static is None else methods[static])
-
     def _accelerate(self, gf: GenericFunction, t: TupleType) -> TupleType:
         """Self-recursion with a longer tuple gets widened down to the
         arity already being analyzed, forcing the cycle closed."""
-        shortest = None
-        for name, active in self.active_args:
-            if name == gf.name:
-                n = len(active.fixed)
-                shortest = n if shortest is None else min(shortest, n)
-        if shortest is not None and len(t.fixed) > shortest:
-            return widen(t, shortest, self.types)
+        lengths = [len(a.fixed) for name, a in self.active_args if name == gf.name]
+        if lengths and len(t.fixed) > min(lengths):
+            return widen(t, min(lengths), self.types)
         return t
-
-    def _over_budget(self, gf: GenericFunction) -> bool:
-        return self.per_gf_instances.get(gf.name, 0) > _INSTANTIATION_BUDGET
 
     def _infer_instance(self, gf: GenericFunction, m: Method,
                         narrowed: TupleType) -> TypeExpr:

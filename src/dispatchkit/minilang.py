@@ -19,6 +19,7 @@ still structurally stable.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -315,6 +316,9 @@ class _Parser:
                     e = Ident(t[1], t[2:])
             elif kind == "FLOAT":
                 e = Lit(float(t[1]), t[2:])
+                if e.value == math.inf:  # a literal has no sign, so is never -inf
+                    raise ParseError(f"float literal of {len(t[1]) - 1} digits is too large",
+                                     *t[2:])
             elif kind == "LPAREN":
                 e = self.tuple_or_group(t)
             elif kind == "STRING":

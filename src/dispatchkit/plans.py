@@ -52,8 +52,6 @@ def shape_plan(rule: str, classes: tuple) -> Optional[Callable]:
             make_tuple(tuple(base.kinds[c] for c in classes)))
     except _Unplannable:
         return None
-    if top is None:  # a native index_shape; no packaged rule has one
-        return None
 
     def plan(*indices):
         return promote_shape(top(indices))

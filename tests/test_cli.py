@@ -308,6 +308,15 @@ class TestHugeNumbers:
             "syntax error: line 2, column 3: integer literal of 4301 digits is too long")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command", ["run", "infer"])
+    def test_float_literal_too_large_exit_2(self, tmp_path, capsys, command):
+        f = _write(tmp_path, "huge.mjl", "f(x) = x\nf(" + "1" * 400 + ".0)\n")
+        assert main([command, f]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "syntax error: line 2, column 3: float literal of 401 digits is too large")
+
     def test_range_endpoint_past_the_digit_limit_exit_1(self, tmp_path, capsys):
         n = "9" * 4300
         f = _write(tmp_path, "range.mjl", f"({n} + {n}):1\n")

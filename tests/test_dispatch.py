@@ -20,6 +20,7 @@ from dispatchkit.dispatch import (
 )
 from dispatchkit.lattice import ANY, Named, TupleType, TypeTable, make_tuple, subtype
 from dispatchkit.ndarray import Range, Shape, iota
+from dispatchkit.inference import infer_call_type
 from dispatchkit.runtime import Runtime
 from dispatchkit.values import FLOAT, INT, INT_ARRAY, RANGE, STRING, type_of
 
@@ -179,6 +180,11 @@ class TestDefine:
     def test_variadic_needs_element_type(self):
         with pytest.raises(DefinitionError):
             MethodSignature((), True)
+
+    def test_variadic_tuple_element_rejected(self):
+        with pytest.raises(DefinitionError, match="must not be a tuple type"):
+            MethodSignature((make_tuple((INT,)),), True)
+        assert MethodSignature((make_tuple((INT,)),)).params == (make_tuple((INT,)),)
 
     def test_specialized_length_checked(self):
         with pytest.raises(DefinitionError):
@@ -396,3 +402,43 @@ class TestHostClassMemo:
         assert gf.method_for_args((SubTag(),)).fn("") == "string"
         assert (Tag,) in gf._cache and (SubTag,) not in gf._cache
         self.check(gf, [Tag(), SubTag()])
+
+
+class TestInferenceAgrees:
+    """A call inference reports STATIC dispatches to the method it
+    reports, and a call dispatch rejects is never reported STATIC: both
+    read the one selection rule of `GenericFunction`."""
+
+    ELEMENTS = [INT, FLOAT, INTEGER, REAL, STRING, RANGE, ANY]
+    FORMALS = ELEMENTS + [make_tuple((), INT), make_tuple((INT,))]
+    VALUES = [0, 7, 2.5, "s", Range(1, 3), iota((2,)), (), (1,), (4,), (1, 2),
+              (2.5,), ("s", 1), ((1,), 2.0), Shape((2, 3))]
+
+    def function(self, rng):
+        ft = FunctionTable(TypeTable.prelude())
+        for _ in range(rng.randint(1, 5)):
+            params = [rng.choice(self.FORMALS) for _ in range(rng.randrange(4))]
+            variadic = rng.random() < 0.4
+            if variadic:
+                params.append(rng.choice(self.ELEMENTS))
+            ft.define("f", MethodSignature(tuple(params), variadic), lambda *xs: None)
+        return ft
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_static_sites_dispatch_to_their_method(self, seed):
+        rng = random.Random(seed)
+        selected = 0
+        for _ in range(300):
+            ft = self.function(rng)
+            gf = ft.lookup("f")
+            for _ in range(30):
+                args = tuple(rng.choice(self.VALUES) for _ in range(rng.randrange(4)))
+                try:
+                    want = gf.method_for_args(args)
+                    selected += 1
+                except (AmbiguityError, NoMethodError):
+                    want = None
+                arg_type = make_tuple(tuple(type_of(a) for a in args))
+                _, static = infer_call_type(ft, "f", arg_type)
+                assert static is want, (gf.methods, args)
+        assert selected > 1500

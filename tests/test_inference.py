@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from dispatchkit import inference
+from dispatchkit import dispatch
 from dispatchkit.inference import (
     InferenceState,
     infer_call_type,
@@ -265,28 +265,30 @@ class TestProgramReports:
 
 
 class TestScreeningMemo:
-    def test_each_function_and_argument_type_screened_once(self):
+    def test_each_function_and_argument_type_screened_once(self, monkeypatch):
         rt = _rt()
         calls = ["h(1)", "h(2)", "h(3.5)", "h(4)", "h(0.5)"] * 6
         prog = rt.load_definitions(
             "h(x::Real) = x + 1\n" + "\n".join(calls) + "\n")
         state = InferenceState(rt.functions, rt.widen_max_fixed)
         screens = []
-        screen = state._screen
+        rule = dispatch._screen_positions
 
-        def counting(gf, arg_type):
-            screens.append(gf.name)
-            return screen(gf, arg_type)
+        def counting(methods, arg_type, table):
+            screens.append(methods[0].fname)
+            return rule(methods, arg_type, table)
 
-        state._screen = counting
+        monkeypatch.setattr(dispatch, "_SCREENS", {})
+        monkeypatch.setattr(dispatch, "_screen_positions", counting)
         for item in prog.items[1:]:
             state.infer_expr(item, {})
         # 30 sites of h, but only h on (Int) and (Float), then + on
         # (Int, Int) and (Float, Int)
-        assert len(state.screened) == 4 < len(calls)
+        memos = [rt.functions.lookup(name)._screens for name in ("h", "+")]
+        assert sum(map(len, memos)) == 4 < len(calls)
         assert sorted(screens) == ["+", "+", "h", "h"]
 
-    def test_memo_does_not_outlive_a_run(self):
+    def test_a_define_between_runs_is_seen(self):
         rt = _rt()
         prog = rt.load_definitions("k(x::Real) = 1\nk(2)\n")
         first = infer_program(rt.functions, prog.items, rt.widen_max_fixed)
@@ -297,7 +299,7 @@ class TestScreeningMemo:
 
 
 class TestSharedScreenMemo:
-    """The process-wide screening memo behind `InferenceState._screen`
+    """The process-wide screening memo behind `GenericFunction.screen`
     serves every runtime whose signatures, argument type and type
     declarations match, and no other."""
 
@@ -346,16 +348,40 @@ class TestSharedScreenMemo:
                 t, m = _infer(rt, "+", *args)
                 assert t == t_want and m is methods[k]
 
+    def test_a_declaration_after_a_screen_leaves_answers_right(self):
+        # only a define clears a function's memos: a declaration adds a
+        # name to the tree and orders no two names already declared anew
+        rt = _rt()
+        rt.types.declare("Shape2", "Any", abstract=True)
+        rt.types.declare("Sq", "Shape2")
+        rt.load_definitions("area(s::Shape2) = 1\narea(s) = 2.5\n")
+        area = rt.functions.lookup("area")
+        screened = [(make_tuple((Named("Sq"),)), INT, area.methods[0]),
+                    (make_tuple((ANY,)), REAL, None)]
+        for arg_type, want, method in screened:
+            t, m = infer_call_type(rt.functions, "area", arg_type)
+            assert t == want and m is method
+        rt.types.declare("Circle", "Shape2")
+        rt.types.declare("Blob", "Any")
+        screened += [(make_tuple((Named("Circle"),)), INT, area.methods[0]),
+                     (make_tuple((Named("Blob"),)), FLOAT, area.methods[1])]
+        for arg_type, want, method in screened:
+            t, m = infer_call_type(rt.functions, "area", arg_type)
+            assert t == want and m is method
+            if method is not None:
+                assert area.select(arg_type) is method
+        assert len(area._screens) == 4
+
     def test_memo_never_exceeds_its_limit(self, monkeypatch):
-        monkeypatch.setattr(inference, "_MEMO_LIMIT", 5)
-        monkeypatch.setattr(inference, "_SCREENS", {})
+        monkeypatch.setattr(dispatch, "_MEMO_LIMIT", 5)
+        monkeypatch.setattr(dispatch, "_SCREENS", {})
         rt = _rt()
         rt.load_definitions("g(r...) = 1\n")
         g1 = rt.functions.lookup("g").methods[0]
         for n in range(9):  # nine argument types, nine keys
             t, m = _infer(rt, "g", *[INT] * n)
             assert t == INT and m is g1
-            assert 0 < len(inference._SCREENS) <= 5
+            assert 0 < len(dispatch._SCREENS) <= 5
         # a full memo was cleared, and answers after the clear still hold
         t, m = _infer(rt, "g")
         assert t == INT and m is g1

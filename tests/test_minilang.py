@@ -145,6 +145,13 @@ class TestParseErrors:
         with pytest.raises(SyntaxError):
             parse(src)
 
+    def test_float_literal_too_large_is_located(self):
+        with pytest.raises(ParseError, match="float literal of 401 digits is too large") as e:
+            parse("f(x) = x\nf(" + "1" * 400 + ".0)\n")
+        assert (e.value.lineno, e.value.offset) == (2, 3)
+        # the largest powers of ten a Float holds, written out, still parse
+        assert parse("1" + "0" * 308 + ".0").items[0].value == 1e308
+
     def test_location_reported(self):
         with pytest.raises(ParseError) as e:
             parse("f(x) = x\ng(y = y\n")
