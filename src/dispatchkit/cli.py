@@ -108,10 +108,10 @@ def _read(path: str) -> str:
 
 
 def _cmd_run(args) -> int:
-    source = _read(args.file)
+    prog = parse(_read(args.file))
     rt = Runtime(index_rule=args.index_rule)
     try:
-        trace = rt.run(source)
+        trace = rt.run(prog)
     except EvalError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -120,7 +120,7 @@ def _cmd_run(args) -> int:
         try:
             lines.append(render_value(v))
         except ValueError:  # str() of an Int past the interpreter's digit limit
-            exprs = [it for it in parse(source).items if not isinstance(it, MethodDef)]
+            exprs = [it for it in prog.items if not isinstance(it, MethodDef)]
             err = EvalError(f"an Int of more than {sys.get_int_max_str_digits()} "
                             "digits cannot be printed", exprs[k].loc)
             print(f"error: {err}", file=sys.stderr)

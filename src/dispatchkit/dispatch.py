@@ -46,6 +46,7 @@ from .lattice import (
     meet,
     render_type,
     signature_subtype,
+    subtype,
 )
 from .values import HOST_KINDS, type_of
 
@@ -156,15 +157,35 @@ def outranked(m: Method, rivals, table: TypeTable) -> bool:
     return any(o is not m and _precedes(o.sig_tuple, m.sig_tuple, table) for o in rivals)
 
 
+def _concrete(t: TypeExpr, table: TypeTable) -> bool:
+    """True iff `t` is a declared concrete name or a tuple type without a
+    tail whose elements are concrete. Such a type has no subtype but
+    itself and Bottom, so it overlaps exactly the types that cover it."""
+    if isinstance(t, Named):
+        return table.declared(t.name) and not table.is_abstract(t.name)
+    if not isinstance(t, TupleType) or t.tail is not None:
+        return False
+    for x in t.fixed:
+        if not _concrete(x, table):
+            return False
+    return True
+
+
 def _screen_positions(methods: list, arg_type: TupleType, table: TypeTable) -> tuple:
     """The selection rule, each method given by its position in `methods`:
     the methods that cover all of `arg_type`; the survivors, each method
     that overlaps `arg_type` and that no covering one outranks, with its
     narrowed type (None when no method overlaps); the covering survivors;
-    and the static winner, the lone survivor when it covers."""
+    and the static winner, the lone survivor when it covers. A concrete
+    `arg_type` overlaps only the methods that cover it, so each method
+    costs it one subtype test and no `meet`."""
     overlapping, covering = [], []
+    concrete = _concrete(arg_type, table)
     for k, m in enumerate(methods):
-        nt = meet(arg_type, m.sig_tuple, table)
+        if concrete:
+            nt = arg_type if subtype(arg_type, m.sig_tuple, table) else Bottom
+        else:
+            nt = meet(arg_type, m.sig_tuple, table)
         if nt is not Bottom:
             overlapping.append((k, nt))
             if nt is arg_type:  # meet returns `arg_type` itself iff it is a subtype

@@ -9,11 +9,11 @@ else, which is the point of the design. Views ask the same
 `ndarray.gather`, the one copy loop that `views.to_array` also uses.
 
 The methods called are those of the rule's frozen `base_functions`.
-An index list of at most `plans.MAX_PLAN_INDEXES` indexes whose classes
-have a shape plan runs that plan: the same methods, bound ahead of time
-by inference, so the chain neither dispatches nor walks syntax trees.
-Every other list takes the generic call, which raises the documented
-error. The length gate keeps longer lists out of the plan cache.
+An index list whose classes have a shape plan (`runtime.shape_plan`)
+runs that plan: the same methods, bound ahead of time by inference, so
+the chain neither dispatches nor walks syntax trees. Every other list,
+including one too long for a plan, takes the generic call, which raises
+the documented error.
 """
 
 from __future__ import annotations
@@ -29,9 +29,8 @@ from .ndarray import (
     gather,
     strided,
 )
-from .plans import MAX_PLAN_INDEXES, shape_plan
 from .preludes import RULE_NAMES
-from .runtime import EvalError, base_functions
+from .runtime import EvalError, base_functions, shape_plan
 
 __all__ = [
     "rule_names",
@@ -49,10 +48,9 @@ def index_shape(rule: str, indices) -> Shape:
     EvalError when the list is too long for the Python stack."""
     indices = tuple(indices)
     try:
-        if len(indices) <= MAX_PLAN_INDEXES:
-            plan = shape_plan(rule, tuple(map(type, indices)))
-            if plan is not None:
-                return plan(*indices)
+        plan = shape_plan(rule, tuple(map(type, indices)))
+        if plan is not None:
+            return plan(*indices)
         return base_functions(rule).lookup("index_shape")(*indices)
     except RecursionError:
         raise EvalError("call depth exceeded") from None

@@ -5,7 +5,10 @@ Works by abstract interpretation: each method is analyzed per distinct
 methods that could win dispatch for some concretization of the abstract
 argument tuple: the survivors of the dispatcher's own selection rule,
 which `GenericFunction.screen` gives and remembers (see `dispatch`), so
-inference holds no selection state of its own.
+inference holds no selection state of its own. It reads the dispatcher,
+the lattice and the syntax, and nothing of the evaluator: `runtime`
+builds on it (shape plans bind the calls inference proves STATIC), not
+the other way round.
 
 Recursion is handled with per-instance frames. A frame consumed while
 still being computed contributes its provisional result (starting at
@@ -51,8 +54,7 @@ from .lattice import (
     render_type,
     widen,
 )
-from .minilang import Call, Ident, Lit, MethodDef, RangeLit, Splice
-from .runtime import EvalError
+from .minilang import Call, EvalError, Ident, Lit, MethodDef, RangeLit, Splice
 from .values import INT, RANGE, type_of
 
 __all__ = [

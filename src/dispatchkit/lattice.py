@@ -108,15 +108,16 @@ class TupleType:
         if self.tail is Bottom or any(f is Bottom for f in self.fixed):
             raise ValueError("use make_tuple to normalize Bottom components")
 
+    _hash = None  # not a field: set on the instance by the first __hash__
+
     def __hash__(self):
         # computed on first use and kept: inference hashes the same tuple
         # types over and over as memo keys
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             h = hash((self.fixed, self.tail))
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     def __reduce__(self):
         # without the cached hash: string hashes differ between processes

@@ -15,17 +15,21 @@ Tuple literals parse to calls of the `tuple` native, so the evaluator
 and the inference engine only ever see one tuple constructor. The
 printer therefore renders them in call form; parse-print-parse is
 still structurally stable.
+
+`EvalError`, the located run-time error, sits beside `ParseError`, so the
+evaluator and the inferencer raise it without importing each other.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 __all__ = [
     "ParseError",
+    "EvalError",
     "Lit",
     "Ident",
     "RangeLit",
@@ -51,36 +55,79 @@ class ParseError(SyntaxError):
         return self.msg
 
 
+class EvalError(Exception):
+    """A run-time error, located at the call or expression that raised it
+    when `loc` (line, column) is given."""
+
+    def __init__(self, message: str, loc=None):
+        self.message = message
+        self.loc = loc
+        super().__init__(self._render())
+
+    def _render(self) -> str:
+        if self.loc:
+            return f"line {self.loc[0]}, column {self.loc[1]}: {self.message}"
+        return self.message
+
+
 Loc = tuple
 
 
-@dataclass(slots=True)
-class Lit:
+class _Node:
+    """Structural equality for syntax nodes: the same class and equal
+    fields, `loc` aside. The comparison keeps its own stack, so trees of
+    any depth the parser accepts compare. Nodes are unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            names = _COMPARED.get(type(a))
+            if names is not None:
+                if type(b) is not type(a):
+                    return False
+                todo.extend((getattr(a, n), getattr(b, n)) for n in names)
+            elif type(a) is list:
+                if type(b) is not list or len(a) != len(b):
+                    return False
+                todo.extend(zip(a, b))
+            elif a is not b and a != b:
+                return False
+        return True
+
+
+@dataclass(slots=True, eq=False)
+class Lit(_Node):
     value: Union[int, float, str]
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass(slots=True)
-class Ident:
+@dataclass(slots=True, eq=False)
+class Ident(_Node):
     name: str
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass(slots=True)
-class RangeLit:
+@dataclass(slots=True, eq=False)
+class RangeLit(_Node):
     lo: "Expr"
     hi: "Expr"
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass(slots=True)
-class Splice:
+@dataclass(slots=True, eq=False)
+class Splice(_Node):
     expr: "Expr"
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass(slots=True)
-class Call:
+@dataclass(slots=True, eq=False)
+class Call(_Node):
     fname: str
     args: list
     loc: Loc = field(default=(0, 0), compare=False)
@@ -89,24 +136,29 @@ class Call:
 Expr = Union[Lit, Ident, RangeLit, Call]
 
 
-@dataclass(slots=True)
-class Param:
+@dataclass(slots=True, eq=False)
+class Param(_Node):
     name: str
     type_name: Optional[str] = None
     variadic: bool = False
 
 
-@dataclass(slots=True)
-class MethodDef:
+@dataclass(slots=True, eq=False)
+class MethodDef(_Node):
     fname: str
     params: list
     body: Expr
     loc: Loc = field(default=(0, 0), compare=False)
 
 
-@dataclass(slots=True)
-class Program:
+@dataclass(slots=True, eq=False)
+class Program(_Node):
     items: list
+
+
+# the fields `_Node.__eq__` compares, per node class
+_COMPARED = {cls: tuple(f.name for f in fields(cls) if f.compare)
+             for cls in (Lit, Ident, RangeLit, Splice, Call, Param, MethodDef, Program)}
 
 
 # ---------------------------------------------------------------- lexer

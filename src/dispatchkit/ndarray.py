@@ -144,7 +144,7 @@ class Shape(tuple):
     """An ordered sequence of non-negative extents."""
 
     def __new__(cls, extents: Iterable[int] = ()):
-        return super().__new__(cls, _checked_extents(extents))
+        return tuple.__new__(cls, _checked_extents(extents))
 
     def __repr__(self):
         return "Shape(" + ", ".join(str(e) for e in self) + ")"

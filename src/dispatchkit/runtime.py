@@ -10,7 +10,18 @@ Method bodies are compiled on their first call; top-level expressions
 are walked, and walked and compiled calls share one dispatcher (see
 Evaluator). `_compile_expr` is the one compiler from minilang syntax to
 closures: the evaluator gives it call sites that dispatch, and shape
-plans (see plans) give it call sites that inference has bound.
+plans give it call sites that inference has bound.
+
+A shape plan (`shape_plan`) is a rule's `index_shape` chain bound ahead
+of time for one tuple of index host classes: inference over the frozen
+base, on the exact argument types, must prove every call of the chain
+STATIC, and each call is then bound to its one method, so a planned call
+neither dispatches nor walks syntax. A plan runs the rule's own methods
+on a frozen base, so it computes what the generic call computes and
+never goes stale. The plan memo is cleared at `dispatch._MEMO_LIMIT`
+entries, as the dispatch memo is; a list of more than `WIDEN_MAX_FIXED`
+indexes, which inference would widen, gets no plan and no memo entry.
+`EvalError` is defined in `minilang` and exported here too.
 
 Native methods carry a transfer annotation: the result type as a
 function of the (already narrowed) argument tuple type. The inference
@@ -22,45 +33,36 @@ from __future__ import annotations
 import functools
 import math
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
-from .dispatch import DispatchError, FunctionTable, MethodSignature, dispatch_call
+from .dispatch import (DispatchError, FunctionTable, Method, MethodSignature, _remember,
+                       dispatch_call)
+from .inference import InferenceState
 from .lattice import (ANY, WIDEN_MAX_FIXED, Bottom, TupleType, TypeTable, UndeclaredTypeError,
-                      make_tuple)
-from .minilang import Call, Ident, Lit, MethodDef, Program, RangeLit, Splice, parse
+                      make_tuple, meet)
+from .minilang import Call, EvalError, Ident, Lit, MethodDef, Program, RangeLit, Splice, parse
 from .ndarray import NdArray, Range, Shape
 from .preludes import prelude_source
 from .values import FLOAT, INT, INTEGER, INT_ARRAY, RANGE, REAL, STRING
 
 __all__ = ["EvalError", "LangError", "Evaluator", "Runtime", "base_functions",
-           "promote_shape"]
+           "shape_plan"]
 
 
 class LangError(Exception):
     """Raised by the `error` native; carries only the user message."""
 
 
-class EvalError(Exception):
-    def __init__(self, message: str, loc=None):
-        self.message = message
-        self.loc = loc
-        super().__init__(self._render())
-
-    def _render(self) -> str:
-        if self.loc:
-            return f"line {self.loc[0]}, column {self.loc[1]}: {self.message}"
-        return self.message
-
-
-def promote_shape(v):
-    """An index_shape result as ndarray consumes it back: a plain tuple of
-    non-negative integers becomes a Shape; anything else is returned as is."""
+def _promote_shape(v):
+    """An index_shape result as ndarray consumes it back: a plain tuple that
+    passes Shape's extent check becomes a Shape; anything else is returned
+    as is."""
     if type(v) is not tuple:
         return v
-    for x in v:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-            return v
-    return tuple.__new__(Shape, v)  # the extents were just checked
+    try:
+        return Shape(v)
+    except ValueError:
+        return v
 
 
 def _param_slots(params) -> dict:
@@ -184,7 +186,7 @@ class Evaluator:
         """`d`'s body as a function of the positional argument tuple."""
         body = _compile_expr(d.body, _param_slots(d.params), self._site)
         if d.fname == "index_shape":
-            return lambda a: promote_shape(body(a))
+            return lambda a: _promote_shape(body(a))
         return body
 
     def run_items(self, prog: Program) -> list:
@@ -353,6 +355,101 @@ def base_functions(rule: str) -> FunctionTable:
     return ft
 
 
+# --------------------------------------------------------- shape plans
+
+_PLANS: dict = {}  # (rule, index classes) -> plan, or None for no plan
+
+
+def shape_plan(rule: str, classes: tuple) -> Optional[Callable]:
+    """The plan for `index_shape(*indices)` under `rule` when the indices'
+    exact classes are `classes`, or None when there is none: more than
+    WIDEN_MAX_FIXED indices, a class that is not a value kind of the
+    base, or a chain that inference cannot bind."""
+    if len(classes) > WIDEN_MAX_FIXED:
+        return None
+    key = (rule, classes)
+    try:
+        return _PLANS[key]
+    except KeyError:
+        return _remember(_PLANS, key, _build_plan(rule, classes))
+
+
+def _build_plan(rule: str, classes: tuple) -> Optional[Callable]:
+    base = base_functions(rule)
+    if not base.kinds.keys() >= set(classes):
+        return None
+    try:
+        _, top = _Compiler(base).bound(
+            base.lookup("index_shape"),
+            make_tuple(tuple(base.kinds[c] for c in classes)))
+    except _Unplannable:
+        return None
+
+    def plan(*indices):
+        return _promote_shape(top(indices))
+
+    return plan
+
+
+class _Unplannable(Exception):
+    """A call in the chain is not proved STATIC."""
+
+
+class _Compiler:
+    """Binds and compiles the calls reached from one plan's top call.
+
+    Each build has its own InferenceState, so one build's instantiations
+    do not count against the next build's budget, and its own map of
+    compiled bodies.
+    """
+
+    def __init__(self, functions: FunctionTable):
+        self.functions = functions
+        self.state = InferenceState(functions)
+        self.bodies: dict = {}  # (method name, ordinal, narrowed type) -> body
+
+    def bound(self, gf, arg_type):
+        """The one method inference proves a call of `gf` on `arg_type`
+        reaches, and its body compiled to a function of the positional
+        argument tuple (None for a native)."""
+        _, m = self.state.infer_call(gf, arg_type)
+        if m is None:
+            raise _Unplannable(gf.name)
+        if m.body is None:
+            return m, None
+        return m, self._body(m, meet(arg_type, m.sig_tuple, self.functions.types))
+
+    def _body(self, m: Method, narrowed: TupleType) -> Callable:
+        key = (m.fname, m.ordinal, narrowed)
+        body = self.bodies.get(key)
+        if body is None:
+            if key in self.bodies:  # a call chain that re-enters this instance
+                raise _Unplannable(m.label)
+            self.bodies[key] = None
+            env = self.state.bind(m, narrowed)
+            body = self.bodies[key] = _compile_expr(
+                m.body.body, _param_slots(m.body.params),
+                lambda e, parts: self._site(e, parts, env))
+        return body
+
+    def _site(self, e: Call, parts: list, env: dict) -> Callable:
+        """The call `e`, bound to the one method inference proves it
+        reaches in a body whose parameters have the types in `env`."""
+        gf = self.functions.lookup(e.fname)
+        arg_type, unfixed = self.state.call_arg_type(e, env)
+        # a value spliced by a plan must be a tuple
+        if gf is None or arg_type is Bottom or not all(
+                isinstance(t, TupleType) for t in unfixed):
+            raise _Unplannable(e.fname)
+        m, body = self.bound(gf, arg_type)
+        if body is None:
+            return _call(m.fn, parts)
+        if len(parts) == 1 and parts[0][1]:
+            f = parts[0][0]  # its tuple is the body's positional tuple
+            return lambda a: body(f(a))
+        return _call(lambda *xs: body(xs), parts)
+
+
 class Runtime:
     """One loaded program: types, functions, active indexing rule."""
 
@@ -382,8 +479,9 @@ class Runtime:
         self.items.extend(prog.items)
         return prog
 
-    def run(self, source: str, observer=None) -> list:
-        """Parse, define, and evaluate; returns the value trace.
+    def run(self, source: Union[str, Program], observer=None) -> list:
+        """Parse `source` unless it is an already parsed Program, then
+        define and evaluate; returns the value trace.
 
         A top-level expression whose calls exhaust the Python stack raises
         EvalError located at that expression.
@@ -392,7 +490,7 @@ class Runtime:
         runs, including calls inside previously defined method bodies:
         `observer(call, method, args, result)`, with `args` a tuple.
         """
-        prog = parse(source)
+        prog = source if isinstance(source, Program) else parse(source)
         self.items.extend(prog.items)
         saved = self._evaluator.observer
         if observer is not None:
@@ -410,6 +508,3 @@ class Runtime:
             return dispatch_call(gf, args)
         except RecursionError:
             raise EvalError("call depth exceeded") from None
-
-    def expressions(self) -> list:
-        return [it for it in self.items if not isinstance(it, MethodDef)]

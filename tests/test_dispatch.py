@@ -243,6 +243,29 @@ class TestCache:
             assert 0 < len(rt.functions.lookup(name)._cache) <= dispatch._MEMO_LIMIT
 
 
+class TestConcreteArguments:
+    def test_a_concrete_type_meets_no_method_it_misses(self, table, monkeypatch):
+        # a concrete argument type overlaps exactly the methods that cover it
+        gf = GenericFunction("f0", table)
+        on_ints = gf.define(signature(INT, INT), lambda x, y: "ints")
+        on_floats = gf.define(signature(FLOAT, FLOAT), lambda x, y: "floats")
+        met = []
+        real_meet = dispatch.meet
+
+        def counting(a, b, t):
+            met.append(b)
+            return real_meet(a, b, t)
+
+        monkeypatch.setattr(dispatch, "meet", counting)
+        gf.cache_enabled = False
+        assert gf.select(make_tuple((FLOAT, FLOAT))) is on_floats
+        assert on_ints.sig_tuple not in met
+        # an abstract argument type still meets every method
+        survivors, static = gf.screen(make_tuple((REAL, REAL)))
+        assert [m for m, _ in survivors] == [on_ints, on_floats] and static is None
+        assert met.count(on_ints.sig_tuple) == 1
+
+
 class TestFunctionTable:
     def test_function_is_idempotent(self, table):
         ft = FunctionTable(table)

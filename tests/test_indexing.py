@@ -9,8 +9,8 @@ import random
 
 import pytest
 
+import dispatchkit.dispatch as dispatch
 import dispatchkit.indexing as indexing
-import dispatchkit.plans as plans
 import dispatchkit.runtime as runtime
 from dispatchkit.dispatch import DefinitionError, signature
 from dispatchkit.indexing import getindex, index_shape, rule_names
@@ -18,9 +18,8 @@ from dispatchkit.inference import InferenceState
 from dispatchkit.minilang import Call, MethodDef, parse
 from dispatchkit.lattice import make_tuple
 from dispatchkit.ndarray import BoundsError, NdArray, Range, RankMismatchError, Shape, iota, zeros
-from dispatchkit.plans import shape_plan
 from dispatchkit.preludes import UnknownRuleError, prelude_source
-from dispatchkit.runtime import EvalError, Runtime
+from dispatchkit.runtime import EvalError, Runtime, shape_plan
 from dispatchkit.values import INT, RANGE
 from dispatchkit.views import COLON, to_array, view
 
@@ -400,8 +399,8 @@ def test_plans_compile_every_argument_pattern_and_range():
     rt = Runtime()
     rt.run("g(x::Int, y::Int) = x + y\n"
            "f(x::Int) = tuple(x, 1, x + 1, (x, 2)..., length(1:x), g(x, 2))")
-    _, body = plans._Compiler(rt.functions).bound(rt.functions.lookup("f"),
-                                                  make_tuple((INT,)))
+    _, body = runtime._Compiler(rt.functions).bound(rt.functions.lookup("f"),
+                                                    make_tuple((INT,)))
     assert body is not None
     assert body((3,)) == rt.call("f", 3) == (3, 1, 4, 3, 2, 3, 5)
 
@@ -419,8 +418,8 @@ def test_a_plan_build_infers_each_splice_once(monkeypatch):
 
     monkeypatch.setattr(InferenceState, "infer_expr", counting)
     base = runtime.base_functions("trailing-drop")
-    _, body = plans._Compiler(base).bound(base.lookup("index_shape"),
-                                          make_tuple((RANGE, INT, RANGE)))
+    _, body = runtime._Compiler(base).bound(base.lookup("index_shape"),
+                                            make_tuple((RANGE, INT, RANGE)))
     assert body is not None
     assert counts[(3, 30)] == counts[(3, 41)] == 6
 
@@ -454,6 +453,16 @@ def test_no_plan_beyond_the_cap_or_for_other_classes(rule):
     assert shape_plan(rule, (Range, str)) is None
     indices = [Range(1, 2)] * 9
     assert index_shape(rule, indices) == Shape(index_shape_oracle(rule, indices))
+
+
+def test_the_plan_memo_is_bounded_and_long_lists_stay_out(monkeypatch):
+    monkeypatch.setattr(runtime, "_PLANS", {})
+    assert shape_plan("apl", (Range,) * 9) is None
+    assert runtime._PLANS == {}
+    for k in range(dispatch._MEMO_LIMIT + 10):
+        assert shape_plan("apl", (type(f"Index{k}", (), {}),)) is None
+        assert len(runtime._PLANS) <= dispatch._MEMO_LIMIT
+    assert shape_plan("apl", (Range, int)) is not None
 
 
 class TestShapePromotion:

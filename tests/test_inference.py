@@ -22,6 +22,7 @@ from dispatchkit.inference import (
     splice_types,
 )
 from dispatchkit.lattice import ANY, Bottom, Named, make_tuple, render_type, subtype
+from dispatchkit.minilang import parse
 from dispatchkit.runtime import EvalError, Runtime
 from dispatchkit.values import FLOAT, INT, INTEGER, RANGE, REAL, STRING, type_of
 
@@ -159,9 +160,7 @@ class TestSpliceTypes:
 
 
 def _program_report(rt, source):
-    base = len(rt.items)
-    rt.load_definitions(source)
-    items = rt.items[base:]
+    items = rt.load_definitions(source).items
     return infer_program(rt.functions, items, rt.widen_max_fixed)
 
 
@@ -607,14 +606,14 @@ def _check_soundness(seed: int):
     rng = random.Random(seed)
     src = _gen_program(rng)
     rt = _rt()
-    base = len(rt.items)
+    prog = parse(src)
     events = []
     trace = None
     try:
-        trace = rt.run(src, observer=lambda e, m, a, r: events.append((e, m, r)))
+        trace = rt.run(prog, observer=lambda e, m, a, r: events.append((e, m, r)))
     except EvalError:
         pass
-    items = rt.items[base:]
+    items = prog.items
     report = infer_program(rt.functions, items, rt.widen_max_fixed)
     for e, m, result in events:
         site = report.by_node.get(id(e))

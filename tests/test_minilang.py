@@ -205,6 +205,28 @@ class TestNesting:
         assert done.returncode == 0, done.stderr
         assert done.stdout == f"{depth}\n{depth}\n"
 
+    def test_deep_trees_compare_at_the_default_recursion_limit(self):
+        # equality keeps its own stack, and still sees a changed leaf
+        code = (
+            "import sys\n"
+            "from dispatchkit import parse\n"
+            "assert sys.getrecursionlimit() == 1000\n"
+            "n = 480\n"
+            "for src in ['f(' * n + 'f(1)' + ')' * n, '(' * n + '(1,)' + ',)' * n]:\n"
+            "    assert parse(src) == parse(src)\n"
+            "    assert parse(src) != parse(src.replace('1', '2'))\n"
+            "print('compared')\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=dict(os.environ))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "compared\n"
+
+    def test_nodes_are_unhashable(self):
+        for node in parse("f(x) = x\nf(1:2, (3,)...)").items:
+            with pytest.raises(TypeError):
+                hash(node)
+
 
 class TestLocations:
     def test_statement_lines(self):

@@ -258,6 +258,14 @@ class TestObserver:
             types = make_tuple(tuple(type_of(a) for a in args))
             assert gf.select(types) is m
 
+    def test_a_parsed_program_runs_and_its_own_nodes_are_observed(self, rt):
+        prog = parse("g(x) = x + 1\ng(2)\ng(2.5)")
+        seen = []
+        assert rt.run(prog, observer=lambda e, m, args, v: seen.append(e)) == [3, 3.5]
+        plus, g2, plus_again, g25 = seen
+        assert plus is plus_again is prog.items[0].body
+        assert g2 is prog.items[1] and g25 is prog.items[2]
+
     def test_observer_restored(self, rt):
         rt.run("1", observer=lambda *a: None)
         assert rt._evaluator.observer is None
@@ -275,7 +283,7 @@ class TestRuntimeBookkeeping:
     def test_load_definitions_does_not_evaluate(self, rt):
         prog = rt.load_definitions('f(x) = x\nerror("never")')
         assert len(prog.items) == 2
-        assert len(rt.expressions()) == 1
+        assert sum(not isinstance(it, MethodDef) for it in prog.items) == 1
 
     def test_base_functions_present(self, rt):
         for name in ("tuple", "length", "size", "+", "error", "sum",
