@@ -294,13 +294,14 @@ class GenericFunction:
     def method_for(self, key: tuple) -> Method:
         """The method for a tuple of concrete argument types, memoized per key."""
         if not self.cache_enabled:
-            return self._select_uncached(make_tuple(key))
+            return self._select_uncached(TupleType(key))
         m = self._cache.get(key)
         return m if m is not None else self._memo_miss(key, key)
 
     def _memo_miss(self, key: tuple, arg_types: tuple) -> Method:
-        """Select for `arg_types`, memoized under `key`; a full memo is cleared first."""
-        return _remember(self._cache, key, self._select_uncached(make_tuple(arg_types)))
+        """Select for `arg_types`, memoized under `key`; a full memo is cleared first.
+        The argument type is built without interning: nothing keeps it."""
+        return _remember(self._cache, key, self._select_uncached(TupleType(arg_types)))
 
     def method_for_args(self, args) -> Method:
         """The method for a list of argument values.

@@ -18,6 +18,16 @@ rank method signatures: it additionally lets a variadic tail unroll against
 the other side's fixed slots when the element relation is strict, which
 ranks ``(Real...)`` above ``(Any, Any...)`` even though neither denotes a
 subset of the other.  Only dispatch specificity should use the latter.
+
+``make_tuple`` interns: equal normalized inputs give one ``TupleType``
+object, so memo keys built from its results usually compare by identity.
+The intern table is process-wide and bounded (``_TUPLES_LIMIT``; a full
+table is cleared). It holds type values only, never a type table, so one
+runtime learns nothing about another through it. Equality stays
+structural: a ``TupleType(...)`` built directly, a copy, an unpickled
+value or one made before a clear equals and hashes like its interned
+twin. Dispatch builds the argument type of a memo miss directly, without
+interning, since nothing keeps it.
 """
 
 from __future__ import annotations
@@ -94,7 +104,8 @@ class TupleType:
     trailing values (zero or more). A tail is never itself a tuple type;
     tuples of tuples appear as fixed elements only. Use ``make_tuple`` to
     build instances with normalization (Bottom elements collapse the whole
-    type to Bottom, a Bottom tail is dropped).
+    type to Bottom, a Bottom tail is dropped) and interning. Equality is
+    structural, so a value built here directly equals its interned twin.
     """
 
     fixed: tuple
@@ -109,6 +120,13 @@ class TupleType:
             raise ValueError("use make_tuple to normalize Bottom components")
 
     _hash = None  # not a field: set on the instance by the first __hash__
+
+    def __eq__(self, other):
+        if self is other:  # interned values: equal types are one object
+            return True
+        if other.__class__ is not TupleType:
+            return NotImplemented
+        return self.fixed == other.fixed and self.tail == other.tail
 
     def __hash__(self):
         # computed on first use and kept: inference hashes the same tuple
@@ -132,19 +150,33 @@ TypeExpr = Union[Named, TupleType, BottomType]
 ANY = Named("Any")
 
 
+# the most tuple types `make_tuple` keeps interned; a full table is cleared
+_TUPLES_LIMIT = 16384
+_TUPLES: dict = {}  # (fixed, tail) -> the one interned TupleType
+
+
 def make_tuple(fixed: Iterable[TypeExpr], tail: Optional[TypeExpr] = None) -> TypeExpr:
-    """Build a tuple type, normalizing Bottom components.
+    """Build a tuple type, normalizing Bottom components, and intern it.
 
     A Bottom fixed element means no value sequence can inhabit the type, so
     the result is Bottom. A Bottom tail contributes no elements and is
-    dropped. A tail that is a tuple type is rejected.
+    dropped. A tail that is a tuple type is rejected. Equal normalized
+    inputs give the same object while the bounded intern table holds it.
     """
     fixed = tuple(fixed)
-    if any(f is Bottom for f in fixed):
-        return Bottom
+    for f in fixed:
+        if f is Bottom:
+            return Bottom
     if tail is Bottom:
         tail = None
-    return TupleType(fixed, tail)
+    key = (fixed, tail)
+    t = _TUPLES.get(key)
+    if t is None:
+        t = TupleType(fixed, tail)
+        if len(_TUPLES) >= _TUPLES_LIMIT:
+            _TUPLES.clear()
+        _TUPLES[key] = t
+    return t
 
 
 class TypeTable:

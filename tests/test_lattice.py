@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+from dispatchkit import lattice
+from dispatchkit.inference import infer_call_type
 from dispatchkit.lattice import (
     ANY,
     Bottom,
@@ -25,6 +30,8 @@ from dispatchkit.lattice import (
     subtype,
     widen,
 )
+from dispatchkit.runtime import Runtime
+from dispatchkit.values import type_of
 
 from oracles import small_universe, subtype_oracle
 
@@ -280,7 +287,7 @@ class TestWiden:
 class TestTupleHash:
     def test_hash_is_kept_and_agrees_with_equality(self):
         t = make_tuple([INT, make_tuple([FLOAT])], REAL)
-        u = make_tuple([INT, make_tuple([FLOAT])], REAL)
+        u = TupleType((INT, make_tuple([FLOAT])), REAL)
         assert "_hash" not in vars(t)
         assert hash(t) == hash((t.fixed, t.tail))
         assert vars(t)["_hash"] == hash(t)
@@ -310,6 +317,95 @@ class TestMakeTuple:
     def test_tuple_tail_rejected(self):
         with pytest.raises(ValueError):
             TupleType((INT,), make_tuple([INT]))
+
+
+class TestInterning:
+    def test_equal_inputs_give_one_object(self):
+        t = make_tuple([INT, make_tuple([FLOAT])], REAL)
+        assert make_tuple((INT, make_tuple((FLOAT,))), REAL) is t
+        assert make_tuple(x for x in (INT, FLOAT)) is make_tuple([Named("Int"), FLOAT])
+        # Bottom is normalized before the lookup
+        assert make_tuple([INT], Bottom) is make_tuple([INT])
+        assert make_tuple([INT], Bottom) is make_tuple([INT], None)
+        assert make_tuple([], Bottom) is make_tuple(())
+        assert make_tuple([INT, Bottom], REAL) is Bottom
+        assert make_tuple([Bottom], Bottom) is Bottom
+        assert type_of((1, 2.0)) is make_tuple([INT, FLOAT])
+        assert type_of(((1,), 2.0)) is make_tuple([make_tuple([INT]), FLOAT])
+
+    def test_signatures_of_two_runtimes_share_one_tuple(self):
+        src = "f(x::Int, r::Real...) = x\nf(x::Float, y::Int) = y\n"
+        sigs = []
+        for _ in range(2):
+            rt = Runtime()
+            rt.load_definitions(src)
+            sigs.append([m.sig_tuple for m in rt.functions.lookup("f").methods])
+        assert sigs[0][0] is sigs[1][0] is make_tuple([INT], REAL)
+        assert sigs[0][1] is sigs[1][1] is make_tuple([FLOAT, INT])
+
+    def test_values_from_before_a_clear_still_compare(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_TUPLES_LIMIT", 3)
+        monkeypatch.setattr(lattice, "_TUPLES", {})
+        old = make_tuple([STRING, RANGE], INT)
+        old_hash = hash(old)
+        for n in range(4):  # four new types fill the table and clear it
+            make_tuple([REAL] * n)
+        new = make_tuple([STRING, RANGE], INT)
+        assert new is not old
+        assert new == old and old == new and not new != old
+        assert hash(new) == old_hash == hash((new.fixed, new.tail))
+        assert {old: "seen"}[new] == "seen"
+        assert make_tuple([STRING, RANGE], INT) is new
+
+    def test_table_never_exceeds_its_limit(self, monkeypatch):
+        monkeypatch.setattr(lattice, "_TUPLES_LIMIT", 5)
+        monkeypatch.setattr(lattice, "_TUPLES", {})
+        for n in range(20):
+            t = make_tuple([INT] * n, FLOAT)
+            assert 0 < len(lattice._TUPLES) <= 5
+            assert make_tuple([INT] * n, FLOAT) is t
+
+    def test_a_runtime_learns_no_type_through_the_table(self):
+        a, b = Runtime(), Runtime()
+        a.types.declare("Foo", "Any")
+        a.load_definitions("f(x::Foo, y::Int) = y\n")
+        foo = Named("Foo")
+        t, m = infer_call_type(a.functions, "f", make_tuple((foo, INT)),
+                               a.widen_max_fixed)
+        assert t == INT and m is a.functions.lookup("f").methods[0]
+        with pytest.raises(UndeclaredTypeError):
+            subtype(foo, ANY, b.types)
+        with pytest.raises(UndeclaredTypeError):
+            subtype(make_tuple((foo, INT)), make_tuple((ANY, INT)), b.types)
+
+    def test_a_pickle_crosses_processes_with_other_hash_seeds(self, tmp_path):
+        # string hashes differ between the two processes, so a cached hash
+        # that travelled with the pickle would disagree with equality
+        path = tmp_path / "t.pickle"
+        make = ("from dispatchkit.lattice import Named, make_tuple\n"
+                "t = make_tuple([Named('String'), Named('Range')], Named('Int'))\n")
+        dump = make + (
+            "import pickle, sys\n"
+            "print(hash(t))\n"
+            "open(sys.argv[1], 'wb').write(pickle.dumps(t))\n"
+        )
+        load = make + (
+            "import pickle, sys\n"
+            "print(hash(t))\n"
+            "u = pickle.loads(open(sys.argv[1], 'rb').read())\n"
+            "assert u == t and t == u and not u != t\n"
+            "assert hash(u) == hash(t) and {t: 1}[u] == 1\n"
+            "print('loaded')\n"
+        )
+        hashes = []
+        for seed, code in (("0", dump), ("1", load)):
+            done = subprocess.run([sys.executable, "-c", code, str(path)],
+                                  capture_output=True, text=True, timeout=60,
+                                  env=dict(os.environ, PYTHONHASHSEED=seed))
+            assert done.returncode == 0, done.stderr
+            hashes.append(done.stdout.split()[0])
+        assert done.stdout.split()[1] == "loaded"
+        assert hashes[0] != hashes[1]
 
 
 class TestTypeTable:
